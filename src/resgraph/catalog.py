@@ -40,10 +40,7 @@ from .graph import Cycle, DualGraph, GraphError, parse
 from .linalg import format_rational, rational
 from .wps import cdisc_from_blowup
 
-ROLE_CORE = "core"
 ROLE_TAIL_ROOT = "tail-root"
-ROLE_SIDE = "side"
-ROLE_SECTION = "section"
 
 REQUIRED_ENTRIES = (
     "classification/a2-target",

@@ -91,16 +91,29 @@ def _input_error(message: str) -> int:
     return EXIT_INPUT
 
 
-def _run_expects(checker: EntryChecker, keys: tuple[str, ...]) -> list[CheckRecord]:
+def _run_expects(
+    checker: EntryChecker, keys: tuple[str, ...], cycle: str | None = None
+) -> list[CheckRecord]:
+    """Run the entry's expectations whose key starts with one of ``keys``;
+    with ``cycle``, only those about that cycle (``expect <key> <cycle>``),
+    and a key that names no cycle is an input error."""
     records = []
     for key, value in checker.entry.expects:
-        if key.split()[0] in keys:
-            try:
-                record = checker.run(key, value)
-            except Exception as exc:
-                record = CheckRecord(checker.entry.name, key, value, f"error: {exc}")
-            if record is not None:
-                records.append(record)
+        parts = key.split()
+        if parts[0] not in keys:
+            continue
+        if cycle is not None:
+            if len(parts) < 2:
+                path = checker.entry.path
+                raise SystemExit(_input_error(f"expectation {key!r} in {path} names no cycle"))
+            if parts[1] != cycle:
+                continue
+        try:
+            record = checker.run(key, value)
+        except Exception as exc:
+            record = CheckRecord(checker.entry.name, key, value, f"error: {exc}")
+        if record is not None:
+            records.append(record)
     return records
 
 
@@ -158,14 +171,11 @@ def cmd_codisc(args) -> int:
     rejected = [v for k, v in entry.expects if k == "rejected"]
     if status == EXIT_OK and rejected and rejected[0] == "true":
         try:
-            confirmed = checker.implied_start() < 0
-        except Exception:
-            confirmed = False
-        if confirmed:
-            report.say(
-                f"rejection confirmed: implied tail start "
-                f"{format_rational(checker.implied_start())} < 0"
-            )
+            start = checker.implied_start()
+        except (DiscrepancyError, CatalogError):
+            start = None
+        if start is not None and start < 0:
+            report.say(f"rejection confirmed: implied tail start {format_rational(start)} < 0")
             status = EXIT_EXPECT
     report.emit(args.json, status)
     return status
@@ -187,11 +197,7 @@ def cmd_pullback(args) -> int:
         return _input_error(str(exc))
     report.say(f"pullback multiplicities: {result.render()}")
     if subset is None:
-        checker = EntryChecker(entry)
-        for key, value in entry.expects:
-            parts = key.split()
-            if parts[0] == "pullback" and parts[1] == args.attached:
-                report.extend([checker.run(key, value)])
+        report.extend(_run_expects(EntryChecker(entry), ("pullback",), args.attached))
     status = EXIT_EXPECT if report.failed else EXIT_OK
     report.emit(args.json, status)
     return status
@@ -213,11 +219,7 @@ def cmd_triviality(args) -> int:
             value = cycle_dot(entry.graph, z, vid)
             if value != 0:
                 report.say(f"  pairs with {vid}: {format_rational(value)}")
-    checker = EntryChecker(entry)
-    for key, value in entry.expects:
-        parts = key.split()
-        if parts[0] == "trivial" and parts[1] == args.cycle:
-            report.extend([checker.run(key, value)])
+    report.extend(_run_expects(EntryChecker(entry), ("trivial",), args.cycle))
     status = EXIT_EXPECT if report.failed else EXIT_OK
     report.emit(args.json, status)
     return status

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .graph import Cycle, DualGraph, VertexKind, arithmetic_genus, cycle_dot
-from .linalg import definiteness, rational, solve
+from .graph import Cycle, DualGraph, VertexKind, cycle_dot
+from .linalg import LinAlgError, definiteness, rational, solve
 
 
 class DiscrepancyError(Exception):
@@ -85,7 +85,7 @@ def codiscrepancies(
     rhs = [Fraction(2) + g.vertex(vid).self_int for vid in order]
     try:
         theta = solve(matrix, rhs)
-    except Exception as exc:
+    except LinAlgError as exc:
         raise SingularConfiguration(str(exc)) from exc
     return CodiscrepancyResult.from_values(dict(zip(order, theta)))
 
@@ -119,7 +119,7 @@ def pinned_codiscrepancies(
         rhs.append(c)
     try:
         theta = solve(matrix, rhs)
-    except Exception as exc:
+    except LinAlgError as exc:
         raise SingularConfiguration(str(exc)) from exc
     values = dict(pins)
     values.update(zip(order, theta))
@@ -352,7 +352,7 @@ def mumford_pullback(
     rhs = [-cycle_dot(g, attached, vid) for vid in order]
     try:
         m = solve(matrix, rhs)
-    except Exception as exc:
+    except LinAlgError as exc:
         raise SingularConfiguration(str(exc)) from exc
     return Cycle(dict(zip(order, m)))
 
@@ -361,7 +361,3 @@ def numerically_trivial(g: DualGraph, z: Cycle) -> bool:
     """True when the cycle pairs to zero with every complete vertex."""
     return all(cycle_dot(g, z, vid) == 0 for vid in g.complete_ids())
 
-
-def genus_of_cycle(g: DualGraph, z: Cycle) -> Fraction:
-    """Arithmetic genus of an arbitrary cycle on complete vertices."""
-    return arithmetic_genus(g, z)

@@ -126,9 +126,6 @@ class DualGraph:
         except KeyError:
             raise UnknownVertex(f"no vertex {vid!r}") from None
 
-    def has_vertex(self, vid: str) -> bool:
-        return vid in self._by_id
-
     def ids(self) -> list[str]:
         return [v.id for v in self.vertices]
 
@@ -190,7 +187,8 @@ class DualGraph:
     def intersection_matrix(self, subset: Sequence[str] | None = None) -> tuple[SymMatrix, list[str]]:
         """The intersection form on a subset of complete vertices: diagonal
         entries are self-intersections, off-diagonal entries the total edge
-        multiplicities. Returns the matrix plus the vertex order used."""
+        multiplicities. Returns the matrix plus the vertex order used; the
+        cost is linear in the subset size plus its edges."""
         order = list(self.complete_ids() if subset is None else subset)
         for vid in order:
             v = self.vertex(vid)
@@ -199,16 +197,12 @@ class DualGraph:
         index = {vid: i for i, vid in enumerate(order)}
         if len(index) != len(order):
             raise GraphError("subset contains repeated ids")
-        n = len(order)
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i, vid in enumerate(order):
-            rows[i][i] = Fraction(self.vertex(vid).self_int)
-        for (a, b), mult in self._edges.items():
-            if a in index and b in index:
-                i, j = index[a], index[b]
-                rows[i][j] += mult
-                rows[j][i] += mult
-        return SymMatrix(rows), order
+        rows = []
+        for vid in order:
+            row = {index[w]: mult for w, mult in self._adjacency[vid] if w in index}
+            row[index[vid]] = self._by_id[vid].self_int
+            rows.append(row)
+        return SymMatrix.from_sparse(rows), order
 
 
 @dataclass(frozen=True)

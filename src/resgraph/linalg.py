@@ -1,18 +1,22 @@
-"""Exact rational linear algebra: vectors, symmetric matrices, solving,
-definiteness.
+"""Exact rational linear algebra: sparse symmetric matrices, solving,
+definiteness and kernels.
 
 Every scalar is a ``fractions.Fraction`` (arbitrary precision, always in
 lowest terms, positive denominator); nothing in this module ever rounds.
-Matrices are immutable after construction and safe to share.
+Matrices are immutable, safe to share, and stored sparsely. ``solve``,
+``definiteness`` and ``kernel_basis`` share one elimination kernel whose
+minimum-degree pivot order peels leaves on a forest (which resolution graphs
+almost always are): no fill-in, short rationals, time linear in the size.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from heapq import heappop, heappush
+from math import gcd, lcm
+from typing import Iterable, Mapping, Sequence
 
-Rational = Fraction
+_ZERO = Fraction(0)
 
 
 class LinAlgError(Exception):
@@ -46,107 +50,141 @@ def format_rational(value: Fraction) -> str:
 
 
 class SymMatrix:
-    """An immutable symmetric matrix of Fractions.
-
-    Rows are validated for symmetry at construction time.
-    """
+    """An immutable symmetric matrix of Fractions, stored as one dict of
+    nonzero entries per row. Both constructors check symmetry."""
 
     __slots__ = ("dimension", "_rows")
 
     def __init__(self, rows: Sequence[Sequence[Fraction | int]]):
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix is not square")
+        sparse = SymMatrix.from_sparse([dict(enumerate(row)) for row in rows])
+        self.dimension, self._rows = sparse.dimension, sparse._rows
+
+    @classmethod
+    def from_sparse(cls, rows: Sequence[Mapping[int, Fraction | int]]) -> "SymMatrix":
+        """Build from one ``{column: value}`` mapping per row, in time linear
+        in the number of entries."""
         n = len(rows)
-        table = tuple(tuple(rational(x) for x in row) for row in rows)
-        for row in table:
-            if len(row) != n:
-                raise ValueError("matrix is not square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if table[i][j] != table[j][i]:
+        # One Fraction per distinct value: few conversions, and the symmetry
+        # check mostly compares an object with itself.
+        fraction = {x: rational(x) for x in {x for row in rows for x in row.values()}}
+        table = tuple({j: q for j, x in row.items() if (q := fraction[x])} for row in rows)
+        for i, row in enumerate(table):
+            for j, x in row.items():
+                if not 0 <= j < n:
+                    raise ValueError(f"column {j} out of range in row {i}")
+                if (y := table[j].get(i)) is not x and y != x:
                     raise ValueError(f"matrix is not symmetric at ({i},{j})")
-        self.dimension = n
-        self._rows = table
+        matrix = cls.__new__(cls)
+        matrix.dimension, matrix._rows = n, table
+        return matrix
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
-        return self._rows[i][j]
+        return self._rows[i].get(range(self.dimension)[j], _ZERO)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._rows[i]
+        entries = self._rows[i]
+        return tuple(entries.get(j, _ZERO) for j in range(self.dimension))
 
     def rows(self) -> list[list[Fraction]]:
-        """A mutable copy of the entries."""
-        return [list(row) for row in self._rows]
+        """A mutable dense copy of the entries."""
+        return [list(self.row(i)) for i in range(self.dimension)]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymMatrix) and self._rows == other._rows
 
     def __hash__(self):
-        return hash(self._rows)
+        return hash(tuple(frozenset(row.items()) for row in self._rows))
 
     def __repr__(self) -> str:
         body = "; ".join(
-            " ".join(format_rational(x) for x in row) for row in self._rows
+            " ".join(format_rational(x) for x in self.row(i))
+            for i in range(self.dimension)
         )
         return f"SymMatrix[{body}]"
-
-    def permuted(self, perm: Sequence[int]) -> "SymMatrix":
-        """Simultaneous row/column permutation: entry (i,j) of the result is
-        entry (perm[i], perm[j]) of self."""
-        if sorted(perm) != list(range(self.dimension)):
-            raise ValueError("not a permutation")
-        return SymMatrix(
-            [[self._rows[pi][pj] for pj in perm] for pi in perm]
-        )
 
     def apply(self, x: Sequence[Fraction]) -> list[Fraction]:
         if len(x) != self.dimension:
             raise ValueError("dimension mismatch")
         return [
-            sum((row[j] * x[j] for j in range(self.dimension)), Fraction(0))
+            sum((v * x[j] for j, v in row.items()), Fraction(0))
             for row in self._rows
         ]
 
-    def quadratic_form(self, x: Sequence[Fraction]) -> Fraction:
-        return dot(x, self.apply(x))
 
+def _eliminate(
+    M: SymMatrix, rhs: list[Fraction] | None = None
+) -> tuple[list[dict[int, Fraction]], list[tuple[int, int]], list[int]]:
+    """Sparse Gaussian elimination of M, doing the same row operations on
+    rhs, when given, in place.
 
-def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    if len(a) != len(b):
-        raise ValueError("dimension mismatch")
-    return sum((ai * bi for ai, bi in zip(a, b)), Fraction(0))
-
-
-def _eliminate(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place forward elimination to row echelon form.
-
-    Pivot choice is deterministic: first row with a nonzero entry in the
-    current column. Returns the echelon rows and the pivot column list.
+    A step (r, c) uses row r to clear column c from the other rows. Pivots
+    are nonzero diagonal entries of minimum current row length (ties to the
+    smaller index); on a forest that peels leaves, a perfect elimination
+    order. With no nonzero diagonal left, an entry (r, c) is cleared by the
+    steps (r, c), (c, r): a 2x2 block pivot, after which the remaining rows
+    are symmetric again. Returns the rows, the steps, and the rows left
+    over, which are zero. A pivot row and its rhs entry never change after
+    their step, so back-substitution can replay the steps.
     """
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if rows[i][c] != 0:
-                pivot_row = i
+    n = M.dimension
+    rows = [dict(row) for row in M._rows]
+    active = [True] * n
+    steps: list[tuple[int, int]] = []
+    heap = sorted((len(row), i) for i, row in enumerate(rows) if i in row)  # a heap
+
+    def step(r: int, c: int) -> None:
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        active[r] = False
+        steps.append((r, c))
+        # The remaining rows with an entry in column c: by symmetry these
+        # are the keys of row c, or of row r for the second half of a pair.
+        for i in [i for i in rows[c] if i != r]:
+            row = rows[i]
+            f = row.pop(c) / p
+            for j, v in pivot_row.items():
+                if j != c:
+                    x = row.get(j, _ZERO) - f * v
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+            if rhs is not None:
+                rhs[i] -= f * rhs[r]
+            if i in row:
+                heappush(heap, (len(row), i))
+
+    scan = 0
+    while True:
+        while heap:
+            length, i = heappop(heap)
+            if active[i] and i in rows[i] and len(rows[i]) == length:
+                step(i, i)
                 break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, n_rows):
-            if rows[i][c] == 0:
-                continue
-            f = rows[i][c] / pv
-            for j in range(c, n_cols):
-                rows[i][j] -= f * rows[r][j]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return rows, pivots
+        else:
+            # A row that is empty stays empty, so the scan never goes back.
+            while scan < n and not (active[scan] and rows[scan]):
+                scan += 1
+            if scan == n:
+                break
+            c = min(rows[scan])
+            step(scan, c)
+            step(c, scan)
+    return rows, steps, [i for i in range(n) if active[i]]
+
+
+def _back_substitute(rows, steps, rhs: list[Fraction], x: list[Fraction]) -> list[Fraction]:
+    """Set x[c] for each step (r, c), last first; other entries are given."""
+    for r, c in reversed(steps):
+        s = rhs[r]
+        for j, v in rows[r].items():
+            if j != c:
+                s -= v * x[j]
+        x[c] = s / rows[r][c]
+    return x
 
 
 def solve(M: SymMatrix, b: Sequence[Fraction | int]) -> list[Fraction]:
@@ -160,68 +198,67 @@ def solve(M: SymMatrix, b: Sequence[Fraction | int]) -> list[Fraction]:
     rhs = [rational(v) for v in b]
     if len(rhs) != n:
         raise ValueError("right-hand side has wrong length")
-    aug = [list(M.row(i)) + [rhs[i]] for i in range(n)]
-    aug, pivots = _eliminate(aug)
-    # Any pivot landing in the last (augmented) column marks inconsistency.
-    if n in pivots:
+    rows, steps, rest = _eliminate(M, rhs)
+    # The rows left over are zero; a nonzero rhs there marks inconsistency.
+    if any(rhs[i] for i in rest):
         raise SingularMatrix("no solution: b is outside the column space")
-    if len(pivots) < n:
+    if rest:
         raise UnderdeterminedSystem(
-            f"rank {len(pivots)} < {n}: solutions exist but are not unique"
+            f"rank {len(steps)} < {n}: solutions exist but are not unique"
         )
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        c = pivots[r]
-        s = aug[r][n]
-        for j in range(c + 1, n):
-            s -= aug[r][j] * x[j]
-        x[c] = s / aug[r][c]
-    return x
+    return _back_substitute(rows, steps, rhs, [_ZERO] * n)
 
 
 def primitive_integer_vector(v: Sequence[Fraction]) -> list[int]:
     """Scale a nonzero rational vector to a primitive integer vector whose
     first nonzero entry is positive."""
-    denoms = [x.denominator for x in v]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // gcd(scale, d)
+    scale = lcm(*(x.denominator for x in v))
     ints = [int(x * scale) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return ints
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [x // g for x in ints]
+
+
+def _echelon_from_last_column(vectors: list[list[Fraction]], n: int) -> list[list[Fraction]]:
+    """Reduced echelon form, up to scaling, of a kernel basis: pivots taken
+    from the last column back, returned in column order. The pivots are the
+    columns of M that depend on the ones before them."""
+    pending = [list(v) for v in vectors]
+    done: list[list[Fraction]] = []
+    for col in reversed(range(n)):
+        k = next((k for k, v in enumerate(pending) if v[col]), None)
+        if k is None:
+            continue
+        pick = pending.pop(k)
+        for v in pending + done:
+            if v[col]:
+                f = v[col] / pick[col]
+                for j, x in enumerate(pick):
+                    v[j] -= f * x
+        done.append(pick)
+    return done[::-1]
 
 
 def kernel_basis(M: SymMatrix) -> list[list[int]]:
     """A basis of the kernel of M, as primitive integer vectors.
 
-    Basis vectors come from the free columns of the row echelon form, in
-    column order, so the result is deterministic.
+    The basis is the one column-order elimination gives: for each column
+    that depends on the columns before it, in column order, the kernel
+    vector that is 1 there and 0 on the other such columns. So the result is
+    deterministic and independent of the pivot order.
     """
     n = M.dimension
-    rows, pivots = _eliminate(M.rows())
-    free_cols = [c for c in range(n) if c not in pivots]
-    basis: list[list[int]] = []
-    for fc in free_cols:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            s = Fraction(0)
-            for j in range(c + 1, n):
-                s -= rows[r][j] * v[j]
-            v[c] = s / rows[r][c]
-        basis.append(primitive_integer_vector(v))
-    return basis
+    zeros = [_ZERO] * n
+    rows, steps, free = _eliminate(M)
+    basis = []
+    for f in free:
+        x = list(zeros)
+        x[f] = Fraction(1)
+        basis.append(_back_substitute(rows, steps, zeros, x))
+    return [primitive_integer_vector(v) for v in _echelon_from_last_column(basis, n)]
 
 
 NEGATIVE_DEFINITE = "NegativeDefinite"
@@ -263,49 +300,22 @@ class Definiteness:
 
 def definiteness(M: SymMatrix) -> Definiteness:
     """Classify M as negative definite, negative semidefinite (with corank
-    and kernel basis), or indefinite. Total: never raises on symmetric input.
+    and kernel basis), or indefinite. It raises LinAlgError only if the
+    elimination and ``kernel_basis`` disagree on the corank, a defect.
 
-    Works on P = -M by symmetric pivoting: a positive pivot is eliminated
-    through its Schur complement; if every remaining diagonal entry is zero
-    the form is positive semidefinite exactly when the remaining block
-    vanishes. Any negative diagonal entry, or a zero diagonal with a nonzero
-    residual block, certifies indefiniteness.
+    By Sylvester's law of inertia M is negative semidefinite exactly when
+    every pivot is a negative diagonal entry; a 2x2 block pivot has one
+    eigenvalue of each sign. The corank is the number of rows left over.
     """
-    n = M.dimension
-    if n == 0:
-        return Definiteness(NEGATIVE_DEFINITE)
-    p = [[-x for x in M.row(i)] for i in range(n)]
-    active = list(range(n))
-    rank = 0
-    while active:
-        pivot = None
-        for idx, a in enumerate(active):
-            if p[a][a] != 0:
-                pivot = idx
-                break
-        if pivot is None:
-            # all remaining diagonal entries vanish
-            for a in active:
-                for b in active:
-                    if p[a][b] != 0:
-                        return Definiteness(INDEFINITE)
-            break
-        a = active[pivot]
-        if p[a][a] < 0:
-            return Definiteness(INDEFINITE)
-        active.pop(pivot)
-        d = p[a][a]
-        for i in active:
-            if p[i][a] == 0:
-                continue
-            f = p[i][a] / d
-            for j in active:
-                p[i][j] -= f * p[a][j]
-        rank += 1
-    corank = n - rank
+    rows, steps, rest = _eliminate(M)
+    if any(r != c or rows[r][r] > 0 for r, c in steps):
+        return Definiteness(INDEFINITE)
+    corank = len(rest)
     if corank == 0:
         return Definiteness(NEGATIVE_DEFINITE)
     kernel = kernel_basis(M)
-    # elimination and kernel computation must agree on the corank
-    assert len(kernel) == corank
+    if len(kernel) != corank:
+        raise LinAlgError(
+            f"elimination found corank {corank} but the kernel has dimension {len(kernel)}"
+        )
     return Definiteness(NEGATIVE_SEMIDEFINITE, corank, kernel)

@@ -140,6 +140,19 @@ def test_triviality_nontrivial_lists_pairings(tmp_path, capsys):
     assert "pairs with" in out
 
 
+@pytest.mark.parametrize(
+    "command, expect",
+    [("triviality", "trivial = true"), ("pullback", "pullback = z")],
+)
+def test_expectation_without_cycle_exits_2(tmp_path, capsys, command, expect):
+    path = tmp_path / "g.dg"
+    path.write_text(f"graph g\nv a -2\nv t ~\ne a t\ncycle z: t=1\nexpect {expect}\n")
+    flag = "--cycle" if command == "triviality" else "--attached"
+    code, _, err = run(capsys, command, str(path), flag, "z")
+    assert code == 2
+    assert "names no cycle" in err
+
+
 def test_pair_command(capsys):
     code, out, _ = run(
         capsys, "pair", "--weights", "3,2,1,1", "--degrees", "1,1", "--k", "-4"

@@ -17,7 +17,19 @@ from resgraph.linalg import (
     rational,
     solve,
 )
-from util import negated, pd_by_leading_minors, psd_by_minors
+from resgraph.graph import DualGraph, Vertex, VertexKind, ade_graph
+from util import (
+    attach_fork_tail,
+    dense_definiteness,
+    dense_kernel_basis,
+    dense_solve,
+    negated,
+    pd_by_leading_minors,
+    permuted,
+    psd_by_minors,
+    quadratic_form,
+    random_tree_graph,
+)
 
 
 def test_rational_parsing_and_format():
@@ -33,6 +45,20 @@ def test_symmetry_is_enforced():
         SymMatrix([[0, 1], [2, 0]])
     with pytest.raises(ValueError):
         SymMatrix([[0, 1]])
+    with pytest.raises(ValueError):
+        SymMatrix.from_sparse([{1: 1}, {}])
+    with pytest.raises(ValueError):
+        SymMatrix.from_sparse([{0: -2, 1: 1}, {0: 2, 1: -2}])
+    with pytest.raises(ValueError):
+        SymMatrix.from_sparse([{3: 1}])
+
+
+def test_sparse_and_dense_constructors_agree():
+    dense = SymMatrix([[-2, 1, 0], [1, -2, 0], [0, 0, 0]])
+    sparse = SymMatrix.from_sparse([{0: -2, 1: 1}, {0: 1, 1: -2, 2: 0}, {}])
+    assert sparse == dense and hash(sparse) == hash(dense)
+    assert sparse.rows() == dense.rows() and repr(sparse) == repr(dense)
+    assert sparse[2, 2] == 0 and sparse[-1, 0] == 0 and sparse[0, -2] == 1
 
 
 def test_solve_one_by_one():
@@ -107,7 +133,7 @@ def test_negative_definite_quadratic_form_is_negative():
     for _ in range(100):
         x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)]
         if any(c != 0 for c in x):
-            assert m.quadratic_form(x) < 0
+            assert quadratic_form(m, x) < 0
 
 
 def test_definiteness_invariant_under_permutation():
@@ -118,7 +144,7 @@ def test_definiteness_invariant_under_permutation():
     for _ in range(20):
         perm = list(range(4))
         rng.shuffle(perm)
-        assert definiteness(m.permuted(perm)).render() == base
+        assert definiteness(permuted(m, perm)).render() == base
 
 
 def test_definiteness_agrees_with_minor_oracle():
@@ -159,3 +185,86 @@ def test_kernel_basis_dimension():
     assert len(basis) == 2
     for vec in basis:
         assert m.apply([Fraction(c) for c in vec]) == [Fraction(0)] * 3
+
+
+def _outcome(fn, *args):
+    """The result of fn, or the type of the linear algebra error it raised."""
+    try:
+        return fn(*args)
+    except (SingularMatrix, UnderdeterminedSystem) as exc:
+        return type(exc)
+
+
+def _agrees_with_dense(m: SymMatrix, rng: random.Random) -> tuple[str, int]:
+    """Compare solve, definiteness and kernel_basis with the dense oracles,
+    bit for bit; returns the kind of form and the kernel dimension."""
+    n = m.dimension
+    free_rhs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+    x = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+    for b in (free_rhs, m.apply(x)):
+        assert _outcome(solve, m, b) == _outcome(dense_solve, m, b)
+    res = definiteness(m)
+    assert (res.kind, res.corank, res.kernel) == dense_definiteness(m)
+    kernel = kernel_basis(m)
+    assert kernel == dense_kernel_basis(m)
+    return res.kind, len(kernel)
+
+
+def test_sparse_kernel_matches_dense_oracle_on_random_matrices():
+    rng = random.Random(31337)
+    coranks = []
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        if rng.random() < 0.5:
+            # low rank: a sum of a few symmetric rank-one terms
+            rows = [[Fraction(0)] * n for _ in range(n)]
+            for _ in range(rng.randint(0, n)):
+                v = [Fraction(rng.choice([0, 0, 1, -1, 2])) for _ in range(n)]
+                sign = rng.choice([1, -1])
+                for i in range(n):
+                    for j in range(n):
+                        rows[i][j] += sign * v[i] * v[j]
+        else:
+            rows = [
+                [Fraction(rng.choice([0, 0, 0, 1, -1, 2]), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(n)
+            ]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    rows[j][i] = rows[i][j]
+        for i in range(n):
+            if rng.random() < 0.4:
+                rows[i][i] = Fraction(0)
+        coranks.append(_agrees_with_dense(SymMatrix(rows), rng)[1])
+    assert sum(1 for k in coranks if k >= 2) >= 20
+
+
+def _star(legs: int, center: int) -> DualGraph:
+    vertices = [Vertex("c", VertexKind.EXCEPTIONAL, center)]
+    vertices += [Vertex(f"l{i}", VertexKind.EXCEPTIONAL, -2) for i in range(legs)]
+    return DualGraph("star", vertices, [("c", f"l{i}") for i in range(legs)])
+
+
+def test_sparse_kernel_matches_dense_oracle_on_graphs():
+    rng = random.Random(4242)
+    graphs = [ade_graph("A", n) for n in (1, 2, 7, 30, 60)]
+    graphs += [
+        random_tree_graph(rng, n, weights=weights)
+        for n, weights in ((12, (-1, -2)), (25, (-2, -3)), (40, (-1, -2, -3)), (60, (-2, -3, -4, -5)))
+    ]
+    graphs += [_star(legs, center) for legs, center in ((3, -1), (4, -2), (5, -2), (8, -3))]
+    graphs += [attach_fork_tail(ade_graph("A", 20), "v20", k) for k in (1, 10, 35)]
+    kinds = set()
+    for g in graphs:
+        m, _ = g.intersection_matrix()
+        kinds.add(_agrees_with_dense(m, rng)[0])
+    assert kinds == {NEGATIVE_DEFINITE, NEGATIVE_SEMIDEFINITE, INDEFINITE}
+
+
+def test_solve_large_tree_and_chain_residuals():
+    rng = random.Random(2000)
+    for g in (random_tree_graph(rng, 2000), ade_graph("A", 2000)):
+        m, order = g.intersection_matrix()
+        b = [Fraction(2 + g.vertex(vid).self_int) for vid in order]
+        b[0] += 1
+        assert m.apply(solve(m, b)) == b

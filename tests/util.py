@@ -1,6 +1,7 @@
 """Shared test helpers: independent brute-force oracles and random graph
 generators. Oracles here deliberately avoid the library's elimination code
-so they can check it."""
+so they can check it: the dense solver, kernel and definiteness below
+eliminate in plain column order, with none of the library's sparse pivoting."""
 
 from __future__ import annotations
 
@@ -9,7 +10,15 @@ from fractions import Fraction
 from itertools import combinations
 
 from resgraph.graph import DualGraph, Vertex, VertexKind
-from resgraph.linalg import SymMatrix
+from resgraph.linalg import (
+    INDEFINITE,
+    NEGATIVE_DEFINITE,
+    NEGATIVE_SEMIDEFINITE,
+    SingularMatrix,
+    SymMatrix,
+    UnderdeterminedSystem,
+    primitive_integer_vector,
+)
 
 
 def det(rows: list[list[Fraction]]) -> Fraction:
@@ -63,6 +72,114 @@ def pd_by_leading_minors(M: SymMatrix) -> bool:
 
 def negated(M: SymMatrix) -> SymMatrix:
     return SymMatrix([[-M[i, j] for j in range(M.dimension)] for i in range(M.dimension)])
+
+
+def permuted(M: SymMatrix, perm: list[int]) -> SymMatrix:
+    """Simultaneous row/column permutation: entry (i,j) of the result is
+    entry (perm[i], perm[j]) of M."""
+    if sorted(perm) != list(range(M.dimension)):
+        raise ValueError("not a permutation")
+    return SymMatrix([[M[pi, pj] for pj in perm] for pi in perm])
+
+
+def quadratic_form(M: SymMatrix, x: list[Fraction]) -> Fraction:
+    return sum((xi * yi for xi, yi in zip(x, M.apply(x))), Fraction(0))
+
+
+def _dense_eliminate(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """In-place forward elimination to row echelon form. Pivot: the first
+    row with a nonzero entry in the current column. Returns the echelon rows
+    and the pivot column list."""
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = None
+        for i in range(r, n_rows):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        for i in range(r + 1, n_rows):
+            if rows[i][c] == 0:
+                continue
+            f = rows[i][c] / pv
+            for j in range(c, n_cols):
+                rows[i][j] -= f * rows[r][j]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return rows, pivots
+
+
+def dense_solve(M: SymMatrix, b: list[Fraction]) -> list[Fraction]:
+    """M x = b by dense elimination of the augmented matrix, raising the
+    library's SingularMatrix / UnderdeterminedSystem."""
+    n = M.dimension
+    aug = [list(M.row(i)) + [Fraction(b[i])] for i in range(n)]
+    aug, pivots = _dense_eliminate(aug)
+    if n in pivots:
+        raise SingularMatrix("no solution")
+    if len(pivots) < n:
+        raise UnderdeterminedSystem("not unique")
+    x = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        c = pivots[r]
+        s = aug[r][n]
+        for j in range(c + 1, n):
+            s -= aug[r][j] * x[j]
+        x[c] = s / aug[r][c]
+    return x
+
+
+def dense_kernel_basis(M: SymMatrix) -> list[list[int]]:
+    """Kernel basis from the free columns of the column-order echelon form,
+    in column order, each vector made primitive."""
+    n = M.dimension
+    rows, pivots = _dense_eliminate(M.rows())
+    basis = []
+    for fc in [c for c in range(n) if c not in pivots]:
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for r in range(len(pivots) - 1, -1, -1):
+            c = pivots[r]
+            s = Fraction(0)
+            for j in range(c + 1, n):
+                s -= rows[r][j] * v[j]
+            v[c] = s / rows[r][c]
+        basis.append(primitive_integer_vector(v))
+    return basis
+
+
+def dense_definiteness(M: SymMatrix) -> tuple[str, int, list[list[int]]]:
+    """(kind, corank, kernel) by symmetric pivoting on -M in index order: a
+    positive pivot is eliminated through its Schur complement; a negative
+    one, or a zero diagonal with a nonzero residual block, is indefinite."""
+    n = M.dimension
+    p = [[-x for x in M.row(i)] for i in range(n)]
+    active = list(range(n))
+    while active:
+        pivot = next((idx for idx, a in enumerate(active) if p[a][a] != 0), None)
+        if pivot is None:
+            if any(p[a][b] != 0 for a in active for b in active):
+                return INDEFINITE, 0, []
+            break
+        a = active.pop(pivot)
+        if p[a][a] < 0:
+            return INDEFINITE, 0, []
+        for i in active:
+            if p[i][a] != 0:
+                f = p[i][a] / p[a][a]
+                for j in active:
+                    p[i][j] -= f * p[a][j]
+    if not active:
+        return NEGATIVE_DEFINITE, 0, []
+    return NEGATIVE_SEMIDEFINITE, len(active), dense_kernel_basis(M)
 
 
 def random_tree_graph(
