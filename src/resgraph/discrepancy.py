@@ -276,8 +276,11 @@ def fundamental_cycle(
     """Artin's fundamental cycle of a connected negative-definite
     configuration, with its arithmetic genus.
 
-    Start from the sum of the curves and add any curve that still meets the
-    cycle positively (smallest id first) until Z . E_j <= 0 everywhere. The
+    Laufer's loop: start from the sum of the curves and add any curve that
+    still meets the cycle positively until Z . E_j <= 0 everywhere. Z is the
+    least cycle with that property, so the result does not depend on the
+    order of the additions. The loop keeps every Z . E_j as an integer and a
+    stack of the positive ones, so each +1 step costs O(degree). The
     contracted point is a rational singularity exactly when p_a(Z) = 0.
     """
     ids = sorted(set(g.exceptional_ids() if subset is None else subset))
@@ -288,36 +291,27 @@ def fundamental_cycle(
     matrix, _ = g.intersection_matrix(ids)
     if not definiteness(matrix).is_negative_definite:
         raise NotNegativeDefinite("configuration is not negative definite")
-    coeffs = {vid: Fraction(1) for vid in ids}
     idset = set(ids)
-    while True:
-        z = Cycle(coeffs)
-        bump = None
-        for vid in ids:
-            if cycle_dot_restricted(g, z, vid, idset) > 0:
-                bump = vid
-                break
-        if bump is None:
-            break
-        coeffs[bump] += 1
-    z = Cycle(coeffs)
-    zz = sum(
-        (coeffs[vid] * cycle_dot_restricted(g, z, vid, idset) for vid in ids),
-        Fraction(0),
-    )
-    zk = sum(
-        (coeffs[vid] * (-2 - g.vertex(vid).self_int) for vid in ids), Fraction(0)
-    )
-    return z, 1 + (zz + zk) / 2
-
-
-def cycle_dot_restricted(g: DualGraph, z: Cycle, vid: str, idset: set[str]) -> Fraction:
-    """Z . E_vid counting only edges inside idset."""
-    total = z.coeff(vid) * g.vertex(vid).self_int
-    for other, mult in g.neighbors(vid):
-        if other in idset:
-            total += mult * z.coeff(other)
-    return total
+    weight = {vid: g.vertex(vid).self_int for vid in ids}
+    nbrs = {vid: [(w, m) for w, m in g.neighbors(vid) if w in idset] for vid in ids}
+    coeffs = dict.fromkeys(ids, 1)
+    dots = {vid: weight[vid] + sum(m for _, m in nbrs[vid]) for vid in ids}
+    # a curve is pushed when its Z . E turns positive, and only a step on it
+    # lowers Z . E again, so each positive curve is on the stack exactly once
+    stack = [vid for vid in ids if dots[vid] > 0]
+    while stack:
+        vid = stack.pop()
+        coeffs[vid] += 1
+        dots[vid] += weight[vid]
+        for w, m in nbrs[vid]:
+            if dots[w] <= 0 < dots[w] + m:
+                stack.append(w)
+            dots[w] += m
+        if dots[vid] > 0:
+            stack.append(vid)
+    # 2 p_a - 2 = Z.Z + Z.K, with Z.Z = sum c * (Z.E) and K.E = -2 - E^2
+    zz_zk = sum(coeffs[vid] * (dots[vid] - 2 - weight[vid]) for vid in ids)
+    return Cycle(coeffs), 1 + Fraction(zz_zk, 2)
 
 
 def all_components_rational(g: DualGraph, subset: Sequence[str] | None = None) -> bool:

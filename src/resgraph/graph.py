@@ -420,6 +420,8 @@ def parse(text: str) -> ParseResult:
                 vid, value = (x.strip() for x in piece.split("=", 1))
                 if vid not in seen:
                     raise UnknownVertex(f"line {lineno}: unknown vertex {vid!r} in cycle")
+                if vid in coeffs:
+                    raise DslSyntaxError(lineno, f"repeated vertex {vid!r} in cycle {cname!r}")
                 try:
                     coeffs[vid] = rational(value)
                 except (ValueError, ZeroDivisionError):

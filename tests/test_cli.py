@@ -46,6 +46,14 @@ def test_classify_parse_error_exits_2(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_repeated_cycle_coefficient_exits_2(tmp_path, capsys):
+    path = tmp_path / "repeat.dg"
+    path.write_text("graph g\nv a -2\nv t ~\ne a t\ncycle z: t=1, t=2\n")
+    code, out, err = run(capsys, "pullback", str(path), "--attached", "z")
+    assert code == 2 and not out
+    assert "line 5" in err
+
+
 def test_classify_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "classify", "no-such-file.dg")
     assert code == 2

@@ -20,9 +20,16 @@ from resgraph.discrepancy import (
     pinned_codiscrepancies,
     pinned_consistent,
 )
-from resgraph.graph import Cycle, ade_graph, cycle_dot, parse
+from resgraph.graph import Cycle, DualGraph, Vertex, ade_graph, cycle_dot, parse
 from resgraph.linalg import definiteness
-from util import attach_chain, attach_fork_tail, random_tree_graph
+from util import (
+    attach_chain,
+    attach_fork_tail,
+    cycle_dot_restricted,
+    laufer_oracle,
+    point_blowups,
+    random_tree_graph,
+)
 
 
 def entries_by_name():
@@ -208,11 +215,92 @@ def test_fundamental_cycle_properties_on_catalog():
             z, pa = fundamental_cycle(entry.graph, sub)
             assert pa == 0, entry.name
             idset = set(sub)
-            from resgraph.discrepancy import cycle_dot_restricted
-
             for vid in sub:
                 assert cycle_dot_restricted(entry.graph, z, vid, idset) <= 0
                 assert z.coeff(vid) >= 1
+
+
+def assert_matches_laufer_oracle(g, subset=None):
+    """Same cycle, same genus (as a Fraction), or the same exception type."""
+    try:
+        expected = laufer_oracle(g, subset)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            fundamental_cycle(g, subset)
+        return None
+    z, pa = fundamental_cycle(g, subset)
+    assert (z, pa) == expected and type(pa) is Fraction
+    assert all(type(c) is Fraction for c in z.coefficients.values())
+    return z, pa
+
+
+BLOWUP_BASES = [DualGraph("smooth", [], {})] + [
+    ade_graph(family, rank)
+    for family, rank in [("A", 1), ("A", 4), ("D", 4), ("D", 6), ("E", 6), ("E", 7), ("E", 8)]
+]
+
+
+def test_fundamental_cycle_matches_oracle_on_point_blowups():
+    rng = random.Random(3)
+    for i in range(24):
+        base = BLOWUP_BASES[i % len(BLOWUP_BASES)]
+        g = point_blowups(rng, base, rng.randint(1, 40))
+        _, pa = assert_matches_laufer_oracle(g)
+        assert pa == 0, g
+
+
+def test_fundamental_cycle_matches_oracle_on_ade_graphs():
+    for family, ranks in [("A", range(1, 13)), ("D", range(4, 13)), ("E", (6, 7, 8))]:
+        for rank in ranks:
+            _, pa = assert_matches_laufer_oracle(ade_graph(family, rank))
+            assert pa == 0
+
+
+def test_fundamental_cycle_matches_oracle_on_random_trees():
+    rng = random.Random(4)
+    checked = 0
+    while checked < 30:
+        g = random_tree_graph(rng, rng.randint(2, 16), weights=(-1, -2, -2, -3, -4))
+        matrix, _ = g.intersection_matrix()
+        if not definiteness(matrix).is_negative_definite:
+            continue
+        assert_matches_laufer_oracle(g)
+        checked += 1
+
+
+def test_fundamental_cycle_matches_oracle_on_errors():
+    text = "graph g\nv a -2\nv b -2\nv c -2\nv d -2\nv t ~\ne a b\ne b c\ne a c\ne a t\n"
+    g = parse(text).graph
+    for subset in ([], ["a", "d"], ["a", "b", "c"], ["a", "t"], ["a", "nope"]):
+        assert assert_matches_laufer_oracle(g, subset) is None
+    assert assert_matches_laufer_oracle(g, ["a", "b"]) == (Cycle({"a": F(1), "b": F(1)}), 0)
+
+
+def test_fundamental_cycle_invariant_under_relabelling():
+    rng = random.Random(5)
+    for i in range(20):
+        g = point_blowups(rng, BLOWUP_BASES[i % len(BLOWUP_BASES)], rng.randint(5, 60))
+        ids = g.ids()
+        names = dict(zip(ids, rng.sample([f"r{j}" for j in range(len(ids))], len(ids))))
+        relabelled = DualGraph(
+            g.name,
+            [Vertex(names[v.id], v.kind, v.self_int) for v in g.vertices],
+            {(names[a], names[b]): m for (a, b), m in g.edges().items()},
+        )
+        z, pa = fundamental_cycle(g)
+        rz, rpa = fundamental_cycle(relabelled)
+        assert rpa == pa
+        assert rz == Cycle({names[vid]: c for vid, c in z.coefficients.items()})
+
+
+def test_fundamental_cycle_of_a_400_curve_blowup():
+    g = point_blowups(random.Random(6), BLOWUP_BASES[0], 400)
+    z, pa = fundamental_cycle(g)
+    ids = g.exceptional_ids()
+    assert len(ids) == 400 and pa == 0
+    for vid in ids:
+        assert z.coeff(vid) >= 1
+        assert cycle_dot(g, z, vid) <= 0
 
 
 def test_all_components_rational_on_accepted_targets():

@@ -63,6 +63,13 @@ def test_parse_errors_carry_line_numbers():
         parse("v a -2\n")  # missing graph directive
 
 
+def test_parse_rejects_repeated_vertex_in_cycle():
+    with pytest.raises(DslSyntaxError) as err:
+        parse("graph g\nv a -2\nv b -2\ncycle z: a=1, b=1, a=2\n")
+    assert err.value.line == 4
+    assert "'a'" in str(err.value)
+
+
 def test_parse_rejects_nonnegative_self_int():
     with pytest.raises(DslSyntaxError):
         parse("graph g\nv a 0\n")

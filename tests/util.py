@@ -9,7 +9,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from resgraph.graph import DualGraph, Vertex, VertexKind
+from resgraph.discrepancy import DiscrepancyError, NotNegativeDefinite
+from resgraph.graph import Cycle, DualGraph, Vertex, VertexKind
 from resgraph.linalg import (
     INDEFINITE,
     NEGATIVE_DEFINITE,
@@ -180,6 +181,66 @@ def dense_definiteness(M: SymMatrix) -> tuple[str, int, list[list[int]]]:
     if not active:
         return NEGATIVE_DEFINITE, 0, []
     return NEGATIVE_SEMIDEFINITE, len(active), dense_kernel_basis(M)
+
+
+def cycle_dot_restricted(g: DualGraph, z: Cycle, vid: str, idset: set[str]) -> Fraction:
+    """Z . E_vid counting only edges inside idset."""
+    total = z.coeff(vid) * g.vertex(vid).self_int
+    for other, mult in g.neighbors(vid):
+        if other in idset:
+            total += mult * z.coeff(other)
+    return total
+
+
+def laufer_oracle(g: DualGraph, subset=None) -> tuple[Cycle, Fraction]:
+    """Fundamental cycle and its arithmetic genus by the plain Laufer loop:
+    rebuild Z as a Cycle after every +1 step and bump the smallest id with
+    Z . E > 0. Checks and exceptions as in the library; definiteness comes
+    from the dense oracle."""
+    ids = sorted(set(g.exceptional_ids() if subset is None else subset))
+    if not ids:
+        raise DiscrepancyError("empty subset")
+    if len(g.components(ids)) != 1:
+        raise DiscrepancyError("fundamental cycle needs a connected configuration")
+    matrix, _ = g.intersection_matrix(ids)
+    if dense_definiteness(matrix)[0] != NEGATIVE_DEFINITE:
+        raise NotNegativeDefinite("configuration is not negative definite")
+    coeffs = {vid: Fraction(1) for vid in ids}
+    idset = set(ids)
+    while True:
+        z = Cycle(coeffs)
+        bump = next((vid for vid in ids if cycle_dot_restricted(g, z, vid, idset) > 0), None)
+        if bump is None:
+            break
+        coeffs[bump] += 1
+    zz = sum((coeffs[vid] * cycle_dot_restricted(g, z, vid, idset) for vid in ids), Fraction(0))
+    zk = sum((coeffs[vid] * (-2 - g.vertex(vid).self_int) for vid in ids), Fraction(0))
+    return z, 1 + (zz + zk) / 2
+
+
+def point_blowups(rng: random.Random, base: DualGraph, k: int, prefix: str = "x") -> DualGraph:
+    """k random point blow-ups over a base of complete exceptional curves
+    (an empty base is a smooth point). Each new (-1)-curve goes on a free
+    point of one curve or on the crossing point of an edge; every curve it
+    meets drops one in self-intersection, and a blown-up crossing loses one
+    from its multiplicity."""
+    weights = {v.id: v.self_int for v in base.vertices}
+    edges = dict(base.edges())
+    for i in range(k):
+        new = f"{prefix}{i}"
+        if edges and rng.random() < 0.5:
+            hit = rng.choice(list(edges))
+            edges[hit] -= 1
+            if not edges[hit]:
+                del edges[hit]
+        else:
+            hit = (rng.choice(list(weights)),) if weights else ()
+        for vid in hit:
+            weights[vid] -= 1
+            edges[(vid, new) if vid <= new else (new, vid)] = 1
+        weights[new] = -1
+    vertices = [Vertex(vid, VertexKind.EXCEPTIONAL, w) for vid, w in weights.items()]
+    return DualGraph(base.name, vertices, edges)
 
 
 def random_tree_graph(
