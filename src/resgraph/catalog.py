@@ -150,7 +150,7 @@ def load_catalog(root: Path | None = None) -> list[CatalogEntry]:
         name = f"{path.parent.name}/{path.stem}"
         try:
             entries.append(load_entry(path, name))
-        except GraphError as exc:
+        except (OSError, UnicodeDecodeError, GraphError) as exc:
             raise CatalogError(f"{name}: {exc}") from exc
     found = {e.name for e in entries}
     missing = [name for name in REQUIRED_ENTRIES if name not in found]
@@ -312,20 +312,38 @@ class EntryChecker:
 
         raise CatalogError(f"{name}: unknown expectation key {key!r}")
 
+    def run_all(
+        self, heads: tuple[str, ...] | None = None, cycle: str | None = None
+    ) -> list[CheckRecord]:
+        """Run the entry's expectations in fixture order: all of them, or
+        those whose key starts with one of ``heads``. With ``cycle``, only
+        those about that cycle (``expect <key> <cycle>``) run, and a key that
+        names no cycle is a CatalogError. A check that raises becomes an
+        error record, so one bad check never aborts a catalog run."""
+        records = []
+        for key, value in self.entry.expects:
+            parts = key.split()
+            if heads is not None and parts[0] not in heads:
+                continue
+            if cycle is not None:
+                if len(parts) < 2:
+                    path = self.entry.path
+                    raise CatalogError(f"expectation {key!r} in {path} names no cycle")
+                if parts[1] != cycle:
+                    continue
+            try:
+                record = self.run(key, value)
+            except Exception as exc:  # report, do not abort the catalog run
+                record = CheckRecord(self.entry.name, key, value, f"error: {exc}")
+            if record is not None:
+                records.append(record)
+        return records
+
 
 def verify_entry(entry: CatalogEntry) -> list[CheckRecord]:
     """Run every expectation of the entry; failures become records, never
     exceptions (a crash is reported as an error record)."""
-    checker = EntryChecker(entry)
-    records: list[CheckRecord] = []
-    for key, value in entry.expects:
-        try:
-            record = checker.run(key, value)
-        except Exception as exc:  # report, do not abort the catalog run
-            record = CheckRecord(entry.name, key, value, f"error: {exc}")
-        if record is not None:
-            records.append(record)
-    return records
+    return EntryChecker(entry).run_all()
 
 
 def verify_catalog(

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 a stated expectation failed (or a rejection fixture
 confirmed its rejection), 2 bad input (unreadable file, parse error, bad
-flag values). All output is deterministic; ``--json`` switches from the
-human table to the machine schema.
+flag values, or any library error, which ``main`` maps in one place). All
+output is deterministic; ``--json`` switches from the human table to the
+machine schema.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .catalog import (
     verify_catalog,
 )
 from .contract import ContractionError, CurveFiber, classify, complete_definiteness
-from .discrepancy import DiscrepancyError, codiscrepancies
-from .graph import GraphError
+from .discrepancy import DiscrepancyError, codiscrepancies, mumford_pullback, numerically_trivial
+from .graph import GraphError, cycle_dot
 from .linalg import format_rational, rational
 from .wps import (
     CICurve,
@@ -59,7 +60,11 @@ class _Report:
     def failed(self) -> bool:
         return any(not r.passed for r in self.checks)
 
-    def emit(self, as_json: bool, status: int) -> None:
+    def finish(self, as_json: bool, status: int | None = None) -> int:
+        """Print the report and return the exit status, which defaults to 1
+        when a check failed and 0 otherwise."""
+        if status is None:
+            status = EXIT_EXPECT if self.failed else EXIT_OK
         if as_json:
             payload = {
                 "command": self.command,
@@ -74,6 +79,7 @@ class _Report:
             for r in self.checks:
                 mark = "pass" if r.passed else "FAIL"
                 print(f"{mark}  {r.check}: expected {r.expected}, got {r.actual}")
+        return status
 
 
 def _load(path: str):
@@ -81,9 +87,11 @@ def _load(path: str):
     try:
         return load_entry(p, p.stem)
     except FileNotFoundError:
-        raise SystemExit(_input_error(f"no such file: {path}"))
+        raise CatalogError(f"no such file: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CatalogError(f"cannot read {path}: {exc}") from None
     except GraphError as exc:
-        raise SystemExit(_input_error(f"parse error in {path}: {exc}"))
+        raise CatalogError(f"parse error in {path}: {exc}") from None
 
 
 def _input_error(message: str) -> int:
@@ -91,62 +99,26 @@ def _input_error(message: str) -> int:
     return EXIT_INPUT
 
 
-def _run_expects(
-    checker: EntryChecker, keys: tuple[str, ...], cycle: str | None = None
-) -> list[CheckRecord]:
-    """Run the entry's expectations whose key starts with one of ``keys``;
-    with ``cycle``, only those about that cycle (``expect <key> <cycle>``),
-    and a key that names no cycle is an input error."""
-    records = []
-    for key, value in checker.entry.expects:
-        parts = key.split()
-        if parts[0] not in keys:
-            continue
-        if cycle is not None:
-            if len(parts) < 2:
-                path = checker.entry.path
-                raise SystemExit(_input_error(f"expectation {key!r} in {path} names no cycle"))
-            if parts[1] != cycle:
-                continue
-        try:
-            record = checker.run(key, value)
-        except Exception as exc:
-            record = CheckRecord(checker.entry.name, key, value, f"error: {exc}")
-        if record is not None:
-            records.append(record)
-    return records
-
-
 def cmd_classify(args) -> int:
     entry = _load(args.file)
     report = _Report(["classify", args.file])
-    try:
-        outcome = classify(entry.graph)
-    except ContractionError as exc:
-        return _input_error(str(exc))
+    outcome = classify(entry.graph)
     report.say(f"outcome: {outcome.render()}")
     report.say(f"definiteness: {complete_definiteness(entry.graph).render()}")
     if isinstance(outcome, CurveFiber):
         report.say(f"fiber cycle: {outcome.fiber.render()}")
-    checker = EntryChecker(entry)
     report.extend(
-        _run_expects(
-            checker,
-            ("outcome", "definiteness", "fiber_cycle", "contracts_to_zero_curve"),
+        EntryChecker(entry).run_all(
+            ("outcome", "definiteness", "fiber_cycle", "contracts_to_zero_curve")
         )
     )
-    status = EXIT_EXPECT if report.failed else EXIT_OK
-    report.emit(args.json, status)
-    return status
+    return report.finish(args.json)
 
 
 def cmd_codisc(args) -> int:
     entry = _load(args.file)
     report = _Report(["codisc", args.file])
-    try:
-        result = codiscrepancies(entry.graph, include_central=args.include_central)
-    except DiscrepancyError as exc:
-        return _input_error(str(exc))
+    result = codiscrepancies(entry.graph, include_central=args.include_central)
     for vid in sorted(result.values):
         report.say(f"{vid} = {format_rational(result.values[vid])}")
     report.say(f"all_nonnegative: {str(result.all_nonnegative).lower()}")
@@ -154,8 +126,7 @@ def cmd_codisc(args) -> int:
 
     checker = EntryChecker(entry)
     report.extend(
-        _run_expects(
-            checker,
+        checker.run_all(
             (
                 "codisc",
                 "codisc_nonneg",
@@ -164,7 +135,7 @@ def cmd_codisc(args) -> int:
                 "blowup_mult",
                 "pinned_consistent",
                 "implied_tail_start",
-            ),
+            )
         )
     )
     status = EXIT_EXPECT if report.failed else EXIT_OK
@@ -177,40 +148,29 @@ def cmd_codisc(args) -> int:
         if start is not None and start < 0:
             report.say(f"rejection confirmed: implied tail start {format_rational(start)} < 0")
             status = EXIT_EXPECT
-    report.emit(args.json, status)
-    return status
+    return report.finish(args.json, status)
 
 
 def cmd_pullback(args) -> int:
     entry = _load(args.file)
     report = _Report(["pullback", args.file])
     if args.attached not in entry.cycles:
-        return _input_error(f"no cycle named {args.attached!r} in {args.file}")
+        raise CatalogError(f"no cycle named {args.attached!r} in {args.file}")
     subset = None
     if args.subset:
         subset = [s for s in args.subset.split(",") if s]
-    from .discrepancy import mumford_pullback
-
-    try:
-        result = mumford_pullback(entry.graph, entry.cycles[args.attached], subset)
-    except (DiscrepancyError, GraphError) as exc:
-        return _input_error(str(exc))
+    result = mumford_pullback(entry.graph, entry.cycles[args.attached], subset)
     report.say(f"pullback multiplicities: {result.render()}")
     if subset is None:
-        report.extend(_run_expects(EntryChecker(entry), ("pullback",), args.attached))
-    status = EXIT_EXPECT if report.failed else EXIT_OK
-    report.emit(args.json, status)
-    return status
+        report.extend(EntryChecker(entry).run_all(("pullback",), args.attached))
+    return report.finish(args.json)
 
 
 def cmd_triviality(args) -> int:
     entry = _load(args.file)
     report = _Report(["triviality", args.file])
     if args.cycle not in entry.cycles:
-        return _input_error(f"no cycle named {args.cycle!r} in {args.file}")
-    from .discrepancy import numerically_trivial
-    from .graph import cycle_dot
-
+        raise CatalogError(f"no cycle named {args.cycle!r} in {args.file}")
     z = entry.cycles[args.cycle]
     trivial = numerically_trivial(entry.graph, z)
     report.say(f"numerically trivial: {str(trivial).lower()}")
@@ -219,73 +179,60 @@ def cmd_triviality(args) -> int:
             value = cycle_dot(entry.graph, z, vid)
             if value != 0:
                 report.say(f"  pairs with {vid}: {format_rational(value)}")
-    report.extend(_run_expects(EntryChecker(entry), ("trivial",), args.cycle))
-    status = EXIT_EXPECT if report.failed else EXIT_OK
-    report.emit(args.json, status)
-    return status
+    report.extend(EntryChecker(entry).run_all(("trivial",), args.cycle))
+    return report.finish(args.json)
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x]
     except ValueError:
-        raise SystemExit(_input_error(f"bad {what}: {text!r}"))
+        raise ValueError(f"bad {what}: {text!r}") from None
 
 
 def _parse_rational(text: str, what: str) -> Fraction:
     try:
         return rational(text)
-    except (ValueError, ZeroDivisionError, TypeError):
-        raise SystemExit(_input_error(f"bad {what}: {text!r}"))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad {what}: {text!r}") from None
 
 
 def cmd_pair(args) -> int:
     report = _Report(["pair"])
-    weights = _parse_ints(args.weights, "weights")
-    degrees = _parse_ints(args.degrees, "degrees")
     try:
+        weights = _parse_ints(args.weights, "weights")
+        degrees = _parse_ints(args.degrees, "degrees")
         curve = CICurve(WeightedProjectiveSpace(tuple(weights)), tuple(degrees))
     except ValueError as exc:
         return _input_error(str(exc))
-    value = pair(curve, args.k)
-    report.say(f"pairing: {format_rational(value)}")
-    report.emit(args.json, EXIT_OK)
-    return EXIT_OK
+    report.say(f"pairing: {format_rational(pair(curve, args.k))}")
+    return report.finish(args.json)
 
 
 def cmd_wdisc(args) -> int:
     report = _Report(["wdisc"])
-    weights = _parse_ints(args.weights, "weights")
     try:
-        value = wblowup_discrepancy(args.index, weights)
+        value = wblowup_discrepancy(args.index, _parse_ints(args.weights, "weights"))
     except ValueError as exc:
         return _input_error(str(exc))
     report.say(f"discrepancy: {format_rational(value)}")
-    report.emit(args.json, EXIT_OK)
-    return EXIT_OK
+    return report.finish(args.json)
 
 
 def cmd_genus(args) -> int:
     report = _Report(["genus"])
-    weights = _parse_ints(args.weights, "weights")
-    correction = _parse_rational(args.correction, "correction")
     try:
+        weights = _parse_ints(args.weights, "weights")
+        correction = _parse_rational(args.correction, "correction")
         value = subadjunction_genus(weights, args.degree, correction)
     except ValueError as exc:
         return _input_error(str(exc))
     report.say(f"arithmetic genus: {format_rational(value)}")
-    report.emit(args.json, EXIT_OK)
-    return EXIT_OK
+    return report.finish(args.json)
 
 
 def cmd_catalog(args) -> int:
-    if args.action != "verify":
-        return _input_error(f"unknown catalog action {args.action!r}")
-    root = Path(args.root) if args.root else None
-    try:
-        entries = load_catalog(root)
-    except CatalogError as exc:
-        return _input_error(str(exc))
+    entries = load_catalog(Path(args.root) if args.root else None)
     records = verify_catalog(entries, args.filter)
     if args.filter is not None and not records:
         print(f"warning: filter {args.filter!r} matched no entries", file=sys.stderr)
@@ -365,9 +312,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_INPUT
+    except (CatalogError, ContractionError, DiscrepancyError, GraphError) as exc:
+        return _input_error(str(exc))
 
 
 if __name__ == "__main__":

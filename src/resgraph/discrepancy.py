@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .graph import Cycle, DualGraph, VertexKind, cycle_dot
+from .graph import Cycle, DualGraph, cycle_dot
 from .linalg import LinAlgError, definiteness, rational, solve
 
 
@@ -59,12 +59,33 @@ class CodiscrepancyResult:
         )
 
 
-def _default_subset(g: DualGraph, include_central: bool) -> list[str]:
-    ids = g.exceptional_ids()
-    if include_central:
-        ids = [v.id for v in g.vertices if v.complete and (
-            v.kind is VertexKind.EXCEPTIONAL or v.kind is VertexKind.CENTRAL)]
-    return ids
+def _solve_subset(
+    g: DualGraph, unknowns: Sequence[str], known: Mapping[str, Fraction], canonical: bool
+) -> dict[str, Fraction]:
+    """The unique D on ``unknowns`` with (D + B) . E_j = -K . E_j (when
+    ``canonical``; else 0) for every unknown j, where B is the known cycle.
+
+    With K . E_j = -2 - E_j^2 for a smooth rational curve, the system is
+
+        sum_i d_i (E_i . E_j) = (2 + E_j^2 if canonical else 0) - B . E_j,
+
+    and B . E_j only sees the known neighbours of j. Only edges inside
+    ``unknowns`` enter the matrix.
+    """
+    if not unknowns:
+        return {}
+    matrix, order = g.intersection_matrix(unknowns)
+    rhs = []
+    for vid in order:
+        c = Fraction(2 + g.vertex(vid).self_int if canonical else 0)
+        for other, mult in g.neighbors(vid):
+            if other in known:
+                c -= mult * known[other]
+        rhs.append(c)
+    try:
+        return dict(zip(order, solve(matrix, rhs)))
+    except LinAlgError as exc:
+        raise SingularConfiguration(str(exc)) from exc
 
 
 def codiscrepancies(
@@ -74,20 +95,14 @@ def codiscrepancies(
 ) -> CodiscrepancyResult:
     """Solve the codiscrepancy system on a subset of complete vertices.
 
-    The default subset is every exceptional vertex; central curves are left
-    out unless ``include_central`` is set, and transversal germs never enter
-    the system. Only edges inside the subset count.
+    The default subset is every exceptional vertex, or every complete vertex
+    (exceptional and central) with ``include_central``; transversal germs
+    never enter the system. Only edges inside the subset count. This is the
+    pinned solve with no pins.
     """
-    ids = list(subset) if subset is not None else _default_subset(g, include_central)
-    if not ids:
-        return CodiscrepancyResult.from_values({})
-    matrix, order = g.intersection_matrix(ids)
-    rhs = [Fraction(2) + g.vertex(vid).self_int for vid in order]
-    try:
-        theta = solve(matrix, rhs)
-    except LinAlgError as exc:
-        raise SingularConfiguration(str(exc)) from exc
-    return CodiscrepancyResult.from_values(dict(zip(order, theta)))
+    if subset is None:
+        subset = g.complete_ids() if include_central else g.exceptional_ids()
+    return CodiscrepancyResult.from_values(_solve_subset(g, list(subset), {}, True))
 
 
 def pinned_codiscrepancies(
@@ -101,29 +116,14 @@ def pinned_codiscrepancies(
     This is the computation that propagates externally known codiscrepancies
     (e.g. coefficients read off a weighted blowup) through the rest of a
     graph; the equations at the pinned vertices themselves are not imposed.
+    Every pinned vertex must exist.
     """
     pins = {k: rational(v) for k, v in pinned.items()}
     ids = list(subset) if subset is not None else g.exceptional_ids()
     for p in pins:
         g.vertex(p)
     unknowns = [vid for vid in ids if vid not in pins]
-    if not unknowns:
-        return CodiscrepancyResult.from_values(pins)
-    matrix, order = g.intersection_matrix(unknowns)
-    rhs = []
-    for vid in order:
-        c = Fraction(2) + g.vertex(vid).self_int
-        for other, mult in g.neighbors(vid):
-            if other in pins:
-                c -= mult * pins[other]
-        rhs.append(c)
-    try:
-        theta = solve(matrix, rhs)
-    except LinAlgError as exc:
-        raise SingularConfiguration(str(exc)) from exc
-    values = dict(pins)
-    values.update(zip(order, theta))
-    return CodiscrepancyResult.from_values(values)
+    return CodiscrepancyResult.from_values({**pins, **_solve_subset(g, unknowns, pins, True)})
 
 
 def pinned_consistent(
@@ -334,21 +334,14 @@ def mumford_pullback(
 
     Given a cycle supported off the subset, find the unique coefficients m on
     the subset with (attached + sum m_i E_i) . E_j = 0 for every j in the
-    subset. The subset defaults to every complete vertex.
+    subset, the subset solve with the attached cycle as known part and no
+    canonical term. The subset defaults to every complete vertex.
     """
     ids = list(g.complete_ids() if subset is None else subset)
     for vid in ids:
         if attached.coeff(vid) != 0:
             raise DiscrepancyError(f"attached cycle meets the subset at {vid!r}")
-    if not ids:
-        return Cycle({})
-    matrix, order = g.intersection_matrix(ids)
-    rhs = [-cycle_dot(g, attached, vid) for vid in order]
-    try:
-        m = solve(matrix, rhs)
-    except LinAlgError as exc:
-        raise SingularConfiguration(str(exc)) from exc
-    return Cycle(dict(zip(order, m)))
+    return Cycle(_solve_subset(g, ids, attached.coefficients, False))
 
 
 def numerically_trivial(g: DualGraph, z: Cycle) -> bool:

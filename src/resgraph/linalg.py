@@ -11,12 +11,14 @@ almost always are): no fill-in, short rationals, time linear in the size.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 _ZERO = Fraction(0)
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class LinAlgError(Exception):
@@ -32,13 +34,21 @@ class UnderdeterminedSystem(LinAlgError):
 
 
 def rational(value) -> Fraction:
-    """Coerce ints, strings like ``"3/4"`` or ``"-2"``, and Fractions."""
+    """Coerce ints, strings like ``"3/4"`` or ``"-2"``, and Fractions.
+
+    A string must be ``[+-]p`` or ``[+-]p/q`` in ASCII digits; decimals,
+    exponents and underscores are a ValueError, so a short string cannot
+    ask for a huge number (``Fraction("1e10000000")`` builds 10^10^7).
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        text = value.strip()
+        if not _RATIONAL.fullmatch(text):
+            raise ValueError(f"Invalid literal for Fraction: {text!r}")
+        return Fraction(text)
     raise TypeError(f"not an exact rational: {value!r}")
 
 

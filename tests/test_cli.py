@@ -197,6 +197,45 @@ def test_genus_bad_correction_exits_2(capsys):
     assert code == 2
 
 
+def test_classify_directory_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "classify", str(tmp_path))
+    assert code == 2 and not out
+    assert err.startswith(f"error: cannot read {tmp_path}")
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.dg"
+    path.write_bytes(b"graph g\nv caf\xe9 -2\n")
+    for command in ("classify", "codisc"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and not out
+        assert "utf-8" in err
+
+
+def test_catalog_root_with_non_utf8_entry_exits_2(tmp_path, capsys):
+    (tmp_path / "mine").mkdir()
+    (tmp_path / "mine" / "latin1.dg").write_bytes(b"graph g\nv caf\xe9 -2\n")
+    code, out, err = run(capsys, "catalog", "verify", "--root", str(tmp_path))
+    assert code == 2 and not out
+    assert err.startswith("error: mine/latin1:")
+
+
+def test_huge_exponent_coefficient_exits_2(tmp_path, capsys):
+    path = tmp_path / "exp.dg"
+    path.write_text("graph g\nv a -2\nv t ~ tra\ne a t\ncycle z: t=1e10000000\n")
+    code, out, err = run(capsys, "triviality", str(path), "--cycle", "z")
+    assert code == 2 and not out
+    assert "bad rational '1e10000000'" in err
+
+
+@pytest.mark.parametrize("correction", ["1.5", "1e3", "1_0"])
+def test_genus_rejects_correction_outside_p_over_q(capsys, correction):
+    argv = ["genus", "--weights", "1,2,3", "--degree", "6", "--correction", correction]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err == f"error: bad correction: {correction!r}\n"
+
+
 def test_catalog_verify(capsys):
     code, out, _ = run(capsys, "catalog", "verify")
     assert code == 0

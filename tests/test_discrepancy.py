@@ -5,8 +5,10 @@ import pytest
 
 from resgraph.catalog import load_catalog
 from resgraph.discrepancy import (
+    DiscrepancyError,
     NotAChain,
     NotNegativeDefinite,
+    SingularConfiguration,
     UnsupportedTail,
     all_components_rational,
     chain_codiscrepancy_check,
@@ -20,7 +22,7 @@ from resgraph.discrepancy import (
     pinned_codiscrepancies,
     pinned_consistent,
 )
-from resgraph.graph import Cycle, DualGraph, Vertex, ade_graph, cycle_dot, parse
+from resgraph.graph import Cycle, DualGraph, Vertex, VertexKind, ade_graph, cycle_dot, parse
 from resgraph.linalg import definiteness
 from util import (
     attach_chain,
@@ -440,3 +442,52 @@ def test_d4_target_has_three_tails_so_no_single_tail_value():
     entry = entries_by_name()["classification/d4-target"]
     with pytest.raises(UnsupportedTail):
         implied_tail_start(entry.graph, "e", entry.cycles["pinned"].coefficients)
+
+
+def _values_or_error(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs).values
+    except DiscrepancyError as exc:
+        return type(exc)
+
+
+def _subset_cases():
+    rng = random.Random(20261018)
+    cases = [(f"tree-{n}", random_tree_graph(rng, n)) for n in (1, 2, 7, 15, 40, 80)]
+    for entry in load_catalog():
+        if any(v.kind is VertexKind.CENTRAL for v in entry.graph.vertices):
+            cases.append((entry.name, entry.graph))
+    return cases
+
+
+SUBSET_CASES = _subset_cases()
+
+
+@pytest.mark.parametrize("name,g", SUBSET_CASES, ids=[name for name, _ in SUBSET_CASES])
+def test_free_pinned_and_central_solves_agree(name, g):
+    rng = random.Random(name)
+    assert _values_or_error(codiscrepancies, g, include_central=True) == _values_or_error(
+        codiscrepancies, g, g.complete_ids()
+    )
+    for subset in (g.exceptional_ids(), g.complete_ids()):
+        free = _values_or_error(codiscrepancies, g, subset)
+        assert free == _values_or_error(pinned_codiscrepancies, g, {}, subset)
+        if not definiteness(g.intersection_matrix(subset)[0]).is_negative_definite:
+            continue  # a pinned subsystem of an indefinite form may be singular
+        for _ in range(6):
+            pins = {vid: free[vid] for vid in subset if rng.random() < 0.4}
+            assert pinned_codiscrepancies(g, pins, subset).values == free
+        assert pinned_codiscrepancies(g, free, subset).values == free
+
+
+def test_subset_solves_raise_singular_on_a_fiber():
+    by_name = entries_by_name()
+    for name in ("classification/index5-fiber", "classification/conic-fiber"):
+        g = by_name[name].graph
+        fiber = g.complete_ids()
+        with pytest.raises(SingularConfiguration):
+            codiscrepancies(g, fiber)
+        with pytest.raises(SingularConfiguration):
+            pinned_codiscrepancies(g, {}, fiber)
+        with pytest.raises(SingularConfiguration):
+            mumford_pullback(g, Cycle({}), fiber)

@@ -70,6 +70,14 @@ def test_parse_rejects_repeated_vertex_in_cycle():
     assert "'a'" in str(err.value)
 
 
+def test_parse_rejects_coefficients_outside_p_over_q():
+    # Fraction("1e10000000") alone takes seconds; the grammar is p or p/q
+    for value in ("1e10000000", "1.5", "1_000"):
+        with pytest.raises(DslSyntaxError) as err:
+            parse(f"graph g\nv a -2\nv t ~ tra\ne a t\ncycle z: t={value}\n")
+        assert err.value.line == 5
+
+
 def test_parse_rejects_nonnegative_self_int():
     with pytest.raises(DslSyntaxError):
         parse("graph g\nv a 0\n")

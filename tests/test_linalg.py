@@ -40,6 +40,19 @@ def test_rational_parsing_and_format():
     assert format_rational(Fraction(-6, 3)) == "-2"
 
 
+@pytest.mark.parametrize("text", ["1.5", "1e3", "1e10000000", "1_000", "3/-4", "", "/2", "0x10", "٣"])
+def test_rational_rejects_strings_outside_p_over_q(text):
+    with pytest.raises(ValueError):
+        rational(text)
+
+
+def test_rational_accepts_signs_and_surrounding_space():
+    assert rational(" +3/4 ") == Fraction(3, 4)
+    assert rational("-12/8") == Fraction(-3, 2)
+    with pytest.raises(ZeroDivisionError):
+        rational("1/0")
+
+
 def test_symmetry_is_enforced():
     with pytest.raises(ValueError):
         SymMatrix([[0, 1], [2, 0]])
