@@ -68,6 +68,17 @@ REQUIRED_ENTRIES = (
 )
 
 
+# The expectation keys (by head) that each file command of the CLI checks.
+# ``rational`` and ``rejected`` run only under ``catalog verify``.
+COMMAND_KEYS = {
+    "classify": ("outcome", "definiteness", "fiber_cycle", "contracts_to_zero_curve"),
+    "codisc": ("codisc", "codisc_nonneg", "denominators_divide", "blowup_disc", "blowup_mult",
+               "pinned_consistent", "implied_tail_start"),
+    "pullback": ("pullback",),
+    "triviality": ("trivial",),
+}
+
+
 class CatalogError(Exception):
     pass
 
@@ -90,6 +101,11 @@ class CatalogEntry:
             if v.label:
                 roles[v.label] = v.id
         return roles
+
+    @property
+    def rejection_stated(self) -> bool:
+        """Whether the entry's first ``rejected`` expectation is true."""
+        return [value for key, value in self.expects if key == "rejected"][:1] == ["true"]
 
 
 @dataclass
@@ -188,6 +204,10 @@ class EntryChecker:
             self._codisc = codiscrepancies(self.g)
         return self._codisc
 
+    def _render_codisc(self, vid: str) -> str:
+        actual = self.codisc().values.get(vid)
+        return "absent" if actual is None else format_rational(actual)
+
     def outcome(self):
         if self._outcome is None and self._outcome_error is None:
             try:
@@ -215,6 +235,15 @@ class EntryChecker:
     def implied_start(self) -> Fraction:
         return implied_tail_start(self.g, self.tail_root(), self.pins())
 
+    def negative_tail_start(self) -> Fraction | None:
+        """The implied tail start if it is negative (no effective
+        codiscrepancy divisor exists), else None, also when it is undefined."""
+        try:
+            start = self.implied_start()
+        except (DiscrepancyError, CatalogError):
+            return None
+        return start if start < 0 else None
+
     def run(self, key: str, value: str) -> CheckRecord | None:
         name = self.entry.name
         parts = key.split()
@@ -237,12 +266,8 @@ class EntryChecker:
             return CheckRecord(name, key, _bool(value), actual)
 
         if head == "codisc":
-            vid = parts[1]
-            actual = self.codisc().values.get(vid)
-            actual_s = "absent" if actual is None else format_rational(actual)
-            return CheckRecord(
-                name, key, format_rational(rational(value)), actual_s
-            )
+            expected = format_rational(rational(value))
+            return CheckRecord(name, key, expected, self._render_codisc(parts[1]))
 
         if head == "codisc_nonneg":
             return CheckRecord(
@@ -258,12 +283,8 @@ class EntryChecker:
             vid = parts[1]
             if self._blowup_disc is None:
                 raise CatalogError(f"{name}: blowup_mult before blowup_disc")
-            predicted = cdisc_from_blowup(int(value), self._blowup_disc)
-            actual = self.codisc().values.get(vid)
-            actual_s = "absent" if actual is None else format_rational(actual)
-            return CheckRecord(
-                name, f"blowup_codisc {vid}", format_rational(predicted), actual_s
-            )
+            predicted = format_rational(cdisc_from_blowup(int(value), self._blowup_disc))
+            return CheckRecord(name, f"blowup_codisc {vid}", predicted, self._render_codisc(vid))
 
         if head == "pinned_consistent":
             ok = pinned_consistent(self.g, self.pins())
@@ -276,12 +297,10 @@ class EntryChecker:
             )
 
         if head == "rejected":
-            confirmed = isinstance(self.outcome(), NotContractible)
-            if not confirmed and "pinned" in self.entry.cycles:
-                try:
-                    confirmed = self.implied_start() < 0
-                except (DiscrepancyError, CatalogError):
-                    confirmed = False
+            confirmed = (
+                isinstance(self.outcome(), NotContractible)
+                or self.negative_tail_start() is not None
+            )
             return CheckRecord(name, key, _bool(value), _render_bool(confirmed))
 
         if head == "pullback":
@@ -312,14 +331,14 @@ class EntryChecker:
 
         raise CatalogError(f"{name}: unknown expectation key {key!r}")
 
-    def run_all(
-        self, heads: tuple[str, ...] | None = None, cycle: str | None = None
-    ) -> list[CheckRecord]:
+    def run_all(self, command: str | None = None, cycle: str | None = None) -> list[CheckRecord]:
         """Run the entry's expectations in fixture order: all of them, or
-        those whose key starts with one of ``heads``. With ``cycle``, only
-        those about that cycle (``expect <key> <cycle>``) run, and a key that
-        names no cycle is a CatalogError. A check that raises becomes an
-        error record, so one bad check never aborts a catalog run."""
+        those that the CLI ``command`` reports (``COMMAND_KEYS``). With
+        ``cycle``, only those about that cycle (``expect <key> <cycle>``)
+        run, and a key that names no cycle is a CatalogError. A check that
+        raises becomes an error record, so one bad check never aborts a
+        catalog run."""
+        heads = None if command is None else COMMAND_KEYS[command]
         records = []
         for key, value in self.entry.expects:
             parts = key.split()

@@ -26,7 +26,7 @@ from .catalog import (
     verify_catalog,
 )
 from .contract import ContractionError, CurveFiber, classify, complete_definiteness
-from .discrepancy import DiscrepancyError, codiscrepancies, mumford_pullback, numerically_trivial
+from .discrepancy import DiscrepancyError, EmptySubset, codiscrepancies, mumford_pullback
 from .graph import GraphError, cycle_dot
 from .linalg import format_rational, rational
 from .wps import (
@@ -107,11 +107,7 @@ def cmd_classify(args) -> int:
     report.say(f"definiteness: {complete_definiteness(entry.graph).render()}")
     if isinstance(outcome, CurveFiber):
         report.say(f"fiber cycle: {outcome.fiber.render()}")
-    report.extend(
-        EntryChecker(entry).run_all(
-            ("outcome", "definiteness", "fiber_cycle", "contracts_to_zero_curve")
-        )
-    )
+    report.extend(EntryChecker(entry).run_all("classify"))
     return report.finish(args.json)
 
 
@@ -119,36 +115,22 @@ def cmd_codisc(args) -> int:
     entry = _load(args.file)
     report = _Report(["codisc", args.file])
     result = codiscrepancies(entry.graph, include_central=args.include_central)
+    if not result.values:
+        curves = "complete" if args.include_central else "exceptional"
+        raise EmptySubset(f"no {curves} curve to solve for")
     for vid in sorted(result.values):
         report.say(f"{vid} = {format_rational(result.values[vid])}")
     report.say(f"all_nonnegative: {str(result.all_nonnegative).lower()}")
     report.say(f"max_denominator: {result.max_denominator}")
 
     checker = EntryChecker(entry)
-    report.extend(
-        checker.run_all(
-            (
-                "codisc",
-                "codisc_nonneg",
-                "denominators_divide",
-                "blowup_disc",
-                "blowup_mult",
-                "pinned_consistent",
-                "implied_tail_start",
-            )
-        )
-    )
-    status = EXIT_EXPECT if report.failed else EXIT_OK
-    rejected = [v for k, v in entry.expects if k == "rejected"]
-    if status == EXIT_OK and rejected and rejected[0] == "true":
-        try:
-            start = checker.implied_start()
-        except (DiscrepancyError, CatalogError):
-            start = None
-        if start is not None and start < 0:
+    report.extend(checker.run_all("codisc"))
+    if not report.failed and entry.rejection_stated:
+        start = checker.negative_tail_start()
+        if start is not None:
             report.say(f"rejection confirmed: implied tail start {format_rational(start)} < 0")
-            status = EXIT_EXPECT
-    return report.finish(args.json, status)
+            return report.finish(args.json, EXIT_EXPECT)
+    return report.finish(args.json)
 
 
 def cmd_pullback(args) -> int:
@@ -162,7 +144,7 @@ def cmd_pullback(args) -> int:
     result = mumford_pullback(entry.graph, entry.cycles[args.attached], subset)
     report.say(f"pullback multiplicities: {result.render()}")
     if subset is None:
-        report.extend(EntryChecker(entry).run_all(("pullback",), args.attached))
+        report.extend(EntryChecker(entry).run_all("pullback", args.attached))
     return report.finish(args.json)
 
 
@@ -172,14 +154,12 @@ def cmd_triviality(args) -> int:
     if args.cycle not in entry.cycles:
         raise CatalogError(f"no cycle named {args.cycle!r} in {args.file}")
     z = entry.cycles[args.cycle]
-    trivial = numerically_trivial(entry.graph, z)
-    report.say(f"numerically trivial: {str(trivial).lower()}")
-    if not trivial:
-        for vid in entry.graph.complete_ids():
-            value = cycle_dot(entry.graph, z, vid)
-            if value != 0:
-                report.say(f"  pairs with {vid}: {format_rational(value)}")
-    report.extend(EntryChecker(entry).run_all(("trivial",), args.cycle))
+    pairings = [(vid, cycle_dot(entry.graph, z, vid)) for vid in entry.graph.complete_ids()]
+    nonzero = [(vid, value) for vid, value in pairings if value != 0]
+    report.say(f"numerically trivial: {str(not nonzero).lower()}")
+    for vid, value in nonzero:
+        report.say(f"  pairs with {vid}: {format_rational(value)}")
+    report.extend(EntryChecker(entry).run_all("triviality", args.cycle))
     return report.finish(args.json)
 
 

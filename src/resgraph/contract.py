@@ -63,16 +63,16 @@ class ADEType:
 
 
 class ContractionOutcome:
-    """Base class; concrete outcomes below."""
+    """Base class; concrete outcomes below. An outcome renders as its class
+    name, except a rational double point, which adds its type."""
 
     def render(self) -> str:
-        raise NotImplementedError
+        return type(self).__name__
 
 
 @dataclass(frozen=True)
 class SmoothPoint(ContractionOutcome):
-    def render(self) -> str:
-        return "SmoothPoint"
+    pass
 
 
 @dataclass(frozen=True)
@@ -87,24 +87,15 @@ class DuValPoint(ContractionOutcome):
 class RationalPoint(ContractionOutcome):
     residual: DualGraph
 
-    def render(self) -> str:
-        return "RationalPoint"
-
 
 @dataclass(frozen=True)
 class CurveFiber(ContractionOutcome):
     fiber: Cycle
 
-    def render(self) -> str:
-        return "CurveFiber"
-
 
 @dataclass(frozen=True)
 class NotContractible(ContractionOutcome):
     reason: str
-
-    def render(self) -> str:
-        return "NotContractible"
 
 
 def blow_down_once(g: DualGraph, vid: str) -> DualGraph:

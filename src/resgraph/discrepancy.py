@@ -29,6 +29,10 @@ class SingularConfiguration(DiscrepancyError):
     """The intersection form on the chosen subset is not invertible."""
 
 
+class EmptySubset(DiscrepancyError):
+    """There is no curve to solve for."""
+
+
 class NotNegativeDefinite(DiscrepancyError):
     pass
 
@@ -179,12 +183,9 @@ def implied_tail_start(
     if len(attach) != 1 or attach[0][1] != 1:
         raise UnsupportedTail("tail must attach to the root by a single simple edge")
 
+    # a curve of the subset next to the tail lies in the tail's component,
+    # so the tail meets the rest of the subset only at the root
     known_side = [vid for vid in ids if vid not in tail]
-    for vid in known_side:
-        if vid in pins or vid == root:
-            continue
-        if any(w in tail for w, _ in g.neighbors(vid)):
-            raise UnsupportedTail(f"vertex {vid!r} outside the tail touches it")
     propagated = pinned_codiscrepancies(g, pins, known_side)
 
     a = -g.vertex(root).self_int
@@ -285,7 +286,7 @@ def fundamental_cycle(
     """
     ids = sorted(set(g.exceptional_ids() if subset is None else subset))
     if not ids:
-        raise DiscrepancyError("empty subset")
+        raise EmptySubset("empty subset")
     if len(g.components(ids)) != 1:
         raise DiscrepancyError("fundamental cycle needs a connected configuration")
     matrix, _ = g.intersection_matrix(ids)

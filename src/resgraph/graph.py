@@ -205,6 +205,9 @@ class DualGraph:
         return SymMatrix.from_sparse(rows), order
 
 
+_ZERO = Fraction(0)  # shared: a Fraction is immutable
+
+
 @dataclass(frozen=True)
 class Cycle:
     """A formal rational combination of vertices; ids absent from the map
@@ -217,7 +220,7 @@ class Cycle:
         object.__setattr__(self, "coefficients", clean)
 
     def coeff(self, vid: str) -> Fraction:
-        return self.coefficients.get(vid, Fraction(0))
+        return self.coefficients.get(vid, _ZERO)
 
     def support(self) -> list[str]:
         return sorted(self.coefficients)
@@ -228,7 +231,7 @@ class Cycle:
     def __add__(self, other: "Cycle") -> "Cycle":
         merged = dict(self.coefficients)
         for k, v in other.coefficients.items():
-            merged[k] = merged.get(k, Fraction(0)) + v
+            merged[k] = merged.get(k, _ZERO) + v
         return Cycle(merged)
 
     def scale(self, factor) -> "Cycle":

@@ -89,12 +89,49 @@ def test_codisc_rejection_fixture_exits_1(capsys):
     assert "-3/4" in out
 
 
+@pytest.mark.parametrize("o, code", [("1/2", 1), ("1", 0)])
+def test_codisc_confirms_only_a_negative_tail_start(tmp_path, capsys, o, code):
+    # implied tail start o - 1: -1/2 rejects, 0 does not
+    path = tmp_path / "tail.dg"
+    path.write_text(
+        "graph g\nv r -3 label=tail-root\nv o -2\nv t -2\ne r o\ne r t\n"
+        f"cycle pinned: r=1, o={o}\nexpect rejected = true\n"
+    )
+    got, out, _ = run(capsys, "codisc", str(path))
+    assert got == code
+    assert ("rejection confirmed: implied tail start -1/2 < 0" in out) == (code == 1)
+
+
 def test_codisc_include_central(capsys):
     code, out, _ = run(
         capsys, "codisc", fixture("classification/d4-target"), "--include-central"
     )
     assert code == 0  # stated expectations still refer to the default system
     assert "z =" in out
+
+
+@pytest.mark.parametrize(
+    "text, flags, curves",
+    [
+        ("graph g\nv t ~\n", [], "exceptional"),
+        ("graph g\nv z -1 cen\nv t ~\ne z t\n", [], "exceptional"),
+        ("graph g\nv t ~\n", ["--include-central"], "complete"),
+    ],
+)
+def test_codisc_with_nothing_to_solve_exits_2(tmp_path, capsys, text, flags, curves):
+    path = tmp_path / "empty.dg"
+    path.write_text(text)
+    code, out, err = run(capsys, "codisc", str(path), *flags)
+    assert code == 2 and not out
+    assert err == f"error: no {curves} curve to solve for\n"
+
+
+def test_codisc_central_only_solves_with_include_central(tmp_path, capsys):
+    path = tmp_path / "central.dg"
+    path.write_text("graph g\nv z -1 cen\n")
+    code, out, _ = run(capsys, "codisc", str(path), "--include-central")
+    assert code == 0
+    assert "z = -1" in out
 
 
 def test_pullback_command(capsys):

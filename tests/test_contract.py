@@ -166,6 +166,36 @@ def test_recognize_duval_rejects_cycles_multiedges_disconnected():
     assert recognize_duval(disconnected) is None
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        # two forks: a chain a-b-c-d with a leg on b and one on c
+        "e a b\ne b c\ne c d\ne b x\ne c y\n",
+        # one fork of degree four
+        "e k a\ne k b\ne k c\ne k d\n",
+        # one fork with legs (2, 2, 2)
+        "e k a1\ne a1 a2\ne k b1\ne b1 b2\ne k c1\ne c1 c2\n",
+    ],
+)
+def test_recognize_duval_rejects_trees_of_no_ade_shape(edges):
+    names = sorted({vid for line in edges.split("\n") for vid in line.split()[1:]})
+    text = "graph g\n" + "".join(f"v {vid} -2\n" for vid in names) + edges
+    assert recognize_duval(parse(text).graph) is None
+
+
+def test_classify_components_keeps_touching_transversals():
+    g = parse(
+        "graph g\nv a -3\nv b -3\nv s ~\nv t ~\nv u ~\ne a s\ne b t\n"
+    ).graph
+    outcomes = classify_components(g)
+    assert sorted(outcomes) == ["a", "b"]
+    # a lone (-3)-curve is a rational point; its residual is the component
+    # plus the germ that meets it, and no other germ
+    assert outcomes["a"].residual.ids() == ["a", "s"]
+    assert outcomes["b"].residual.ids() == ["b", "t"]
+    assert outcomes["b"].residual.edges() == {("b", "t"): 1}
+
+
 def test_recognize_duval_all_builtin_shapes():
     for family, rank in [("A", 1), ("A", 5), ("D", 4), ("D", 7), ("E", 6), ("E", 7), ("E", 8)]:
         g = ade_graph(family, rank)

@@ -438,6 +438,22 @@ def test_implied_tail_start_validation():
         implied_tail_start(entry.graph, "r", {**everything, "r": F(3, 2)})
 
 
+def test_implied_tail_start_unsupported_shapes():
+    # the root must lie in the subset
+    g = parse("graph g\nv r -3\nv t -2\nv p -2\ne r t\ne r p\n").graph
+    with pytest.raises(UnsupportedTail, match="not in the subset"):
+        implied_tail_start(g, "r", {"r": F(1), "p": F(1)}, subset=["t", "p"])
+    # the tail must hang off the root by one simple edge
+    double = parse("graph g\nv r -3\nv t -2\ne r t m=2\n").graph
+    with pytest.raises(UnsupportedTail, match="single simple edge"):
+        implied_tail_start(double, "r", {"r": F(1)})
+    # a pinned curve next to the would-be tail puts it in a pinned component,
+    # so no unpinned tail is left
+    touched = parse("graph g\nv r -3\nv t -2\nv p -2\ne r t\ne t p\n").graph
+    with pytest.raises(UnsupportedTail, match="found 0"):
+        implied_tail_start(touched, "r", {"r": F(1), "p": F(1)})
+
+
 def test_d4_target_has_three_tails_so_no_single_tail_value():
     entry = entries_by_name()["classification/d4-target"]
     with pytest.raises(UnsupportedTail):

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from resgraph.catalog import load_catalog
+from resgraph.catalog import data_root, load_catalog
 from resgraph.graph import (
     Cycle,
     DslSyntaxError,
     DuplicateId,
     DualGraph,
+    GraphError,
     SelfIntOnTransversal,
     TransversalInSubset,
     UnknownVertex,
@@ -61,6 +62,89 @@ def test_parse_errors_carry_line_numbers():
 
     with pytest.raises(DslSyntaxError):
         parse("v a -2\n")  # missing graph directive
+
+
+HEAD = "graph g\nv a -2\nv b -2\n"  # lines 1-3
+
+
+@pytest.mark.parametrize(
+    "text, error, line",
+    [
+        ("graph g\ngraph h\n", DslSyntaxError, 2),
+        ("graph\n", DslSyntaxError, 1),
+        ("graph g h\n", DslSyntaxError, 1),
+        ("graph g\nv\n", DslSyntaxError, 2),
+        ("graph g\nv a -2 exc label=x extra\n", DslSyntaxError, 2),
+        ("graph g\nv a ~ exc\n", DslSyntaxError, 2),
+        ("graph g\nv a ~ cen\n", DslSyntaxError, 2),
+        (HEAD + "e a\n", DslSyntaxError, 4),
+        (HEAD + "e a b m=1 m=1\n", DslSyntaxError, 4),
+        (HEAD + "e a b x=1\n", DslSyntaxError, 4),
+        (HEAD + "e a b m=x\n", DslSyntaxError, 4),
+        (HEAD + "e a b m=0\n", DslSyntaxError, 4),
+        (HEAD + "e a z\n", UnknownVertex, 4),
+        (HEAD + "e z a\n", UnknownVertex, 4),
+        (HEAD + "e a a\n", DslSyntaxError, 4),
+        (HEAD + "cycle z a=1\n", DslSyntaxError, 4),
+        (HEAD + "cycle : a=1\n", DslSyntaxError, 4),
+        (HEAD + "cycle z: a=1\ncycle z: b=1\n", DslSyntaxError, 5),
+        (HEAD + "cycle z: a\n", DslSyntaxError, 4),
+        (HEAD + "cycle z: q=1\n", UnknownVertex, 4),
+        (HEAD + "cycle z: a=x\n", DslSyntaxError, 4),
+        (HEAD + "cycle z: a=1/0\n", DslSyntaxError, 4),
+        (HEAD + "expect outcome\n", DslSyntaxError, 4),
+        (HEAD + "expect = SmoothPoint\n", DslSyntaxError, 4),
+    ],
+)
+def test_parse_error_class_and_line(text, error, line):
+    with pytest.raises(GraphError) as err:
+        parse(text)
+    assert type(err.value) is error
+    assert str(err.value).startswith(f"line {line}: ")
+    if error is DslSyntaxError:
+        assert err.value.line == line
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """Drop, duplicate or swap tokens, one to three times, on one line."""
+    lines = text.splitlines()
+    i = rng.choice([k for k, line in enumerate(lines) if line.split()])
+    tokens = lines[i].split()
+    for _ in range(rng.randint(1, 3)):
+        if not tokens:
+            break
+        j, k = rng.randrange(len(tokens)), rng.randrange(len(tokens))
+        op = rng.choice(("drop", "duplicate", "swap"))
+        if op == "drop":
+            del tokens[j]
+        elif op == "duplicate":
+            tokens.insert(j, tokens[j])
+        else:
+            tokens[j], tokens[k] = tokens[k], tokens[j]
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_of_mutated_fixtures_raises_only_graph_errors():
+    """A mangled fixture either parses or raises a GraphError, never some
+    other exception."""
+    rng = random.Random(2011)
+    paths = sorted(data_root().glob("*/*.dg"))
+    assert len(paths) == 22
+    outcomes = {"parsed": 0, "rejected": 0}
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        for _ in range(60):
+            mutated = _mutate(text, rng)
+            try:
+                parse(mutated)
+            except GraphError:
+                outcomes["rejected"] += 1
+            except Exception as exc:  # report the input that broke parse
+                pytest.fail(f"{path.name}: {type(exc).__name__}: {exc}\n{mutated}")
+            else:
+                outcomes["parsed"] += 1
+    assert min(outcomes.values()) > 100
 
 
 def test_parse_rejects_repeated_vertex_in_cycle():
