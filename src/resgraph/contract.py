@@ -132,20 +132,37 @@ def blow_down_once(g: DualGraph, vid: str) -> DualGraph:
     return DualGraph(g.name, vertices, edges)
 
 
-def contract_minus_ones(
-    g: DualGraph, choose: Callable[[list[str]], str] = min
-) -> DualGraph:
+def contract_minus_ones(g: DualGraph, choose: Callable[[list[str]], str] = min) -> DualGraph:
     """Contract complete (-1)-curves until none remain. ``choose`` picks the
     next one from the sorted candidate list; the default (smallest id) makes
-    reports reproducible, and classification is order-independent."""
-    current = g
-    while True:
-        candidates = sorted(
-            v.id for v in current.vertices if v.complete and v.self_int == -1
-        )
-        if not candidates:
-            return current
-        current = blow_down_once(current, choose(candidates))
+    reports reproducible, and classification is order-independent.
+
+    Each step is ``blow_down_once`` on one mutable integer copy of the graph,
+    and one ``DualGraph`` is built at the end (``g`` itself if nothing
+    contracts). Cost: O(n + e) for the copy, O(deg^2) per blow-down, and a
+    sort of the current (-1)-curves for each ``choose``.
+    """
+    weight, nbrs = g._int_view(g.ids())
+    candidates = {vid for vid, w in weight.items() if w == -1}
+    if not candidates:
+        return g
+    while candidates:
+        vid = choose(sorted(candidates))
+        if vid not in candidates:
+            raise NotMinusOne(f"{vid!r} is not a complete (-1)-curve")
+        candidates.remove(vid)
+        del weight[vid]
+        incident = list(nbrs.pop(vid).items())
+        for i, (a, ma) in enumerate(incident):
+            del nbrs[a][vid]
+            if weight[a] is not None:  # a transversal germ has no weight to raise
+                weight[a] += ma * ma
+                (candidates.add if weight[a] == -1 else candidates.discard)(a)
+            for b, mb in incident[i + 1:]:
+                nbrs[a][b] = nbrs[b][a] = nbrs[a].get(b, 0) + ma * mb
+    vertices = [Vertex(v.id, v.kind, weight[v.id], v.label) for v in g.vertices if v.id in weight]
+    edges = {(a, b): m for a, row in nbrs.items() for b, m in row.items() if a < b}
+    return DualGraph(g.name, vertices, edges)
 
 
 def recognize_duval(g: DualGraph, subset: list[str] | None = None) -> ADEType | None:
@@ -269,28 +286,17 @@ def classify(
 def classify_components(
     g: DualGraph, choose: Callable[[list[str]], str] = min
 ) -> dict[str, ContractionOutcome]:
-    """Classify each connected component of the complete part separately;
-    keys are the smallest vertex id of each component."""
+    """Classify each connected component of the complete part separately,
+    with the transversal germs that meet it; keys are the smallest vertex id
+    of each component."""
     complete = g.complete_ids()
     if not complete:
         raise NoCompleteVertices("no complete vertices to contract")
     outcomes: dict[str, ContractionOutcome] = {}
     for comp in g.components(complete):
-        keep = comp | {
-            v.id for v in g.vertices if not v.complete and _touches(g, v.id, comp)
-        }
-        sub = _induced(g, keep)
-        outcomes[min(comp)] = classify(sub, choose)
+        # a complete neighbour of the component is in it, so the rest are germs
+        keep = comp | {w for vid in comp for w, _ in g.neighbors(vid)}
+        vertices = [v for v in g.vertices if v.id in keep]
+        edges = {(a, b): m for (a, b), m in g.edges().items() if a in keep and b in keep}
+        outcomes[min(comp)] = classify(DualGraph(g.name, vertices, edges), choose)
     return outcomes
-
-
-def _touches(g: DualGraph, vid: str, comp: set[str]) -> bool:
-    return any(w in comp for w, _ in g.neighbors(vid))
-
-
-def _induced(g: DualGraph, keep: set[str]) -> DualGraph:
-    vertices = [v for v in g.vertices if v.id in keep]
-    edges = {
-        pair: mult for pair, mult in g.edges().items() if pair[0] in keep and pair[1] in keep
-    }
-    return DualGraph(g.name, vertices, edges)

@@ -292,11 +292,9 @@ def fundamental_cycle(
     matrix, _ = g.intersection_matrix(ids)
     if not definiteness(matrix).is_negative_definite:
         raise NotNegativeDefinite("configuration is not negative definite")
-    idset = set(ids)
-    weight = {vid: g.vertex(vid).self_int for vid in ids}
-    nbrs = {vid: [(w, m) for w, m in g.neighbors(vid) if w in idset] for vid in ids}
+    weight, nbrs = g._int_view(ids)
     coeffs = dict.fromkeys(ids, 1)
-    dots = {vid: weight[vid] + sum(m for _, m in nbrs[vid]) for vid in ids}
+    dots = {vid: weight[vid] + sum(nbrs[vid].values()) for vid in ids}
     # a curve is pushed when its Z . E turns positive, and only a step on it
     # lowers Z . E again, so each positive curve is on the stack exactly once
     stack = [vid for vid in ids if dots[vid] > 0]
@@ -304,7 +302,7 @@ def fundamental_cycle(
         vid = stack.pop()
         coeffs[vid] += 1
         dots[vid] += weight[vid]
-        for w, m in nbrs[vid]:
+        for w, m in nbrs[vid].items():
             if dots[w] <= 0 < dots[w] + m:
                 stack.append(w)
             dots[w] += m

@@ -11,6 +11,7 @@ computation is pure.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -37,6 +38,10 @@ class SelfIntOnTransversal(GraphError):
 
 class TransversalInSubset(GraphError):
     pass
+
+
+class BadToken(GraphError):
+    """A graph name, vertex id or label that the text format cannot hold."""
 
 
 class DslSyntaxError(GraphError):
@@ -66,6 +71,15 @@ class Vertex:
         return self.kind is not VertexKind.TRANSVERSAL
 
 
+# a token holds no whitespace or "#"; an id, which cycle lines also hold, no "," or "="
+_NAME_TOKEN, _ID_TOKEN = re.compile(r"[^\s#]+"), re.compile(r"[^\s#,=]+")
+
+
+def _check_token(pattern: re.Pattern, what: str, token: str) -> None:
+    if not isinstance(token, str) or not pattern.fullmatch(token):
+        raise BadToken(f"{what} {token!r} cannot be written in the text format")
+
+
 def _edge_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
@@ -81,10 +95,14 @@ class DualGraph:
         vertices: Sequence[Vertex],
         edges: Mapping[tuple[str, str], int] | Iterable[tuple[str, str]],
     ):
+        _check_token(_NAME_TOKEN, "graph name", name)
         self.name = name
         self.vertices = tuple(vertices)
         by_id: dict[str, Vertex] = {}
         for v in self.vertices:
+            _check_token(_ID_TOKEN, "vertex id", v.id)
+            if v.label is not None:
+                _check_token(_NAME_TOKEN, "label", v.label)
             if v.id in by_id:
                 raise DuplicateId(f"duplicate vertex id {v.id!r}")
             if v.kind is VertexKind.TRANSVERSAL:
@@ -204,6 +222,13 @@ class DualGraph:
             rows.append(row)
         return SymMatrix.from_sparse(rows), order
 
+    def _int_view(self, ids: Iterable[str]) -> tuple[dict, dict[str, dict[str, int]]]:
+        """Mutable plain copies of the self-intersections of the given
+        vertices and of their {neighbour: multiplicity} maps among them."""
+        weight = {vid: self._by_id[vid].self_int for vid in ids}
+        nbrs = {vid: {w: m for w, m in self._adjacency[vid] if w in weight} for vid in weight}
+        return weight, nbrs
+
 
 _ZERO = Fraction(0)  # shared: a Fraction is immutable
 
@@ -253,33 +278,6 @@ def cycle_dot(g: DualGraph, z: Cycle, vid: str) -> Fraction:
     for other, mult in g.neighbors(vid):
         total += mult * z.coeff(other)
     return total
-
-
-def cycle_pairing(g: DualGraph, a: Cycle, b: Cycle) -> Fraction:
-    """Bilinear extension of cycle_dot; both supports must be complete."""
-    total = Fraction(0)
-    for vid, coeff in a.coefficients.items():
-        total += coeff * cycle_dot(g, b, vid)
-    return total
-
-
-def canonical_dot(g: DualGraph, z: Cycle) -> Fraction:
-    """Pairing with the canonical class under adjunction for rational
-    curves: K . E = -2 - E^2 for every complete E."""
-    total = Fraction(0)
-    for vid, coeff in z.coefficients.items():
-        v = g.vertex(vid)
-        if not v.complete:
-            raise TransversalInSubset(f"{vid!r} is transversal")
-        total += coeff * (-2 - v.self_int)
-    return total
-
-
-def arithmetic_genus(g: DualGraph, z: Cycle) -> Fraction:
-    """p_a(Z) = 1 + (Z.Z + Z.K)/2."""
-    zz = cycle_pairing(g, z, z)
-    zk = canonical_dot(g, z)
-    return 1 + (zz + zk) / 2
 
 
 # -- text format -----------------------------------------------------------

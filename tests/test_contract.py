@@ -19,9 +19,9 @@ from resgraph.contract import (
     contract_minus_ones,
     recognize_duval,
 )
-from resgraph.graph import Cycle, arithmetic_genus, cycle_dot, parse, ade_graph
+from resgraph.graph import Cycle, DualGraph, Vertex, VertexKind, cycle_dot, parse, ade_graph
 from resgraph.linalg import NEGATIVE_DEFINITE
-from util import random_tree_graph
+from util import arithmetic_genus, contract_oracle, point_blowups, random_tree_graph
 
 
 def entries_by_name():
@@ -342,3 +342,116 @@ def test_not_contractible_bridge_is_length_independent():
         out = classify(g)
         assert isinstance(out, NotContractible)
         assert complete_definiteness(g).kind == "Indefinite"
+
+
+# -- contract_minus_ones against the iterated blow_down_once oracle ---------
+
+
+def assert_contracts_like_oracle(g: DualGraph, seed: int) -> DualGraph:
+    """Same residual bit for bit (name, vertex tuple, edge items in order,
+    every adjacency, the input object itself when nothing contracts), with
+    choose=min and with twin-seeded random choices that draw the same
+    sequence from the same candidate lists."""
+    rng_got, rng_want = random.Random(seed), random.Random(seed)
+    for choose_got, choose_want in [
+        (min, min),
+        (lambda c: rng_got.choice(c), lambda c: rng_want.choice(c)),
+    ]:
+        got = contract_minus_ones(g, choose_got)
+        want = contract_oracle(g, choose_want)
+        assert (got is g) == (want is g)
+        assert got.name == want.name
+        assert got.vertices == want.vertices
+        assert list(got.edges().items()) == list(want.edges().items())
+        for vid in want.ids():
+            assert got.neighbors(vid) == want.neighbors(vid)
+    assert rng_got.random() == rng_want.random()
+    return want
+
+
+CONTRACTION_BASES = [DualGraph("smooth", [], {})] + [
+    ade_graph(family, rank)
+    for family, rank in [("A", 1), ("A", 5), ("D", 4), ("D", 7), ("E", 6), ("E", 7), ("E", 8)]
+]
+
+
+def with_transversals(rng: random.Random, g: DualGraph, count: int) -> DualGraph:
+    """g plus ``count`` transversal germs, each on a random curve with
+    multiplicity 1 or 2."""
+    ids = g.ids()
+    vertices = list(g.vertices) + [
+        Vertex(f"t{j}", VertexKind.TRANSVERSAL, None) for j in range(count)
+    ]
+    edges = dict(g.edges())
+    for j in range(count):
+        key = tuple(sorted((f"t{j}", rng.choice(ids))))
+        edges[key] = edges.get(key, 0) + rng.choice((1, 2))
+    return DualGraph(g.name, vertices, edges)
+
+
+@pytest.mark.parametrize("base", CONTRACTION_BASES, ids=lambda b: b.name)
+def test_contract_minus_ones_matches_oracle_on_point_blowups(base):
+    rng = random.Random(f"contract:{base.name}")
+    for i in range(30):
+        g = point_blowups(rng, base, rng.randint(1, 60))
+        if i % 2:
+            g = with_transversals(rng, g, rng.randint(1, 3))
+        assert_contracts_like_oracle(g, seed=i)
+
+
+def test_contract_minus_ones_matches_oracle_on_catalog():
+    entries = load_catalog()
+    assert len(entries) == 22
+    for i, entry in enumerate(entries):
+        assert_contracts_like_oracle(entry.graph, seed=i)
+
+
+HAND_BUILT = {
+    # the transversal neighbour gains no weight but joins the other neighbour
+    "transversal-neighbour": "v a -1\nv b -2 label=side\nv t ~\ne a b\ne a t\n",
+    # two transversal germs on one (-1)-curve meet after the blow-down
+    "transversal-pair": "v a -1\nv b -3 cen\nv s ~\nv t ~\ne a b\ne a s m=2\ne a t\n",
+    # m = 2 squares into the weight and multiplies into the new edge
+    "double-edge": "v a -1\nv b -5\nv c -2\ne a b m=2\ne a c\n",
+    # three neighbours of one (-1)-curve become a triangle
+    "cycle": "v a -1\nv b -3\nv c -3\nv d -3\ne a b\ne a c\ne a d\n",
+    # after a goes, b is a 0-curve and must not be contracted
+    "adjacent-minus-ones": "v a -1\nv b -1\nv c -2\ne a b\ne b c\n",
+    "nothing-to-do": "v a -2\nv t ~\ne a t\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_contract_minus_ones_matches_oracle_on_hand_built_cases(name):
+    g = parse(f"graph {name}\n" + HAND_BUILT[name]).graph
+    assert_contracts_like_oracle(g, seed=len(name))
+
+
+def test_contract_minus_ones_hand_built_residuals():
+    def residual(name):
+        return contract_minus_ones(parse(f"graph {name}\n" + HAND_BUILT[name]).graph)
+
+    out = residual("transversal-pair")
+    assert out.ids() == ["b", "s", "t"] and out.vertex("b").self_int == -2
+    assert out.edges() == {("b", "s"): 2, ("b", "t"): 1, ("s", "t"): 2}
+    out = residual("cycle")
+    assert [out.vertex(v).self_int for v in "bcd"] == [-2, -2, -2]
+    assert out.edges() == {("b", "c"): 1, ("b", "d"): 1, ("c", "d"): 1}
+    out = residual("adjacent-minus-ones")
+    assert out.ids() == ["b", "c"] and out.vertex("b").self_int == 0
+    assert residual("transversal-neighbour").ids() == ["t"]
+
+
+def test_contract_minus_ones_builds_one_graph(monkeypatch):
+    g = point_blowups(random.Random(6), DualGraph("smooth", [], {}), 400)
+    builds = []
+    init = DualGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DualGraph, "__init__", counting_init)
+    residual = contract_minus_ones(g)
+    assert residual.vertices == ()
+    assert builds == ["smooth"]

@@ -5,6 +5,7 @@ import pytest
 
 from resgraph.catalog import data_root, load_catalog
 from resgraph.graph import (
+    BadToken,
     Cycle,
     DslSyntaxError,
     DuplicateId,
@@ -17,10 +18,10 @@ from resgraph.graph import (
     VertexKind,
     ade_graph,
     cycle_dot,
-    cycle_pairing,
     parse,
     serialize,
 )
+from util import cycle_pairing
 
 
 def test_parse_single_central_vertex():
@@ -252,6 +253,53 @@ def test_roundtrip_on_full_catalog():
         assert again.expects == entry.expects
         # serialization is a fixed point
         assert serialize(again.graph, again.cycles, again.expects) == text
+
+
+def _one_curve(name="g", vid="a", label=None) -> DualGraph:
+    return DualGraph(name, [Vertex(vid, VertexKind.EXCEPTIONAL, -2, label)], {})
+
+
+# every case here either raised on serialize/parse or re-parsed as a
+# different graph or cycle before the rule existed
+@pytest.mark.parametrize(
+    "field, token",
+    [
+        ("vid", ""),
+        ("vid", "a b"),
+        ("vid", "a\tb"),
+        ("vid", "a\x1cb"),
+        ("vid", "a#b"),
+        ("vid", "#"),
+        ("vid", "a,b"),
+        ("vid", "a=b"),
+        ("label", "x y"),
+        ("label", "x#y"),
+        ("label", "\n"),
+        ("name", ""),
+        ("name", "g h"),
+        ("name", "g#1"),
+    ],
+)
+def test_tokens_the_text_format_cannot_hold_are_rejected(field, token):
+    with pytest.raises(BadToken):
+        _one_curve(**{field: token})
+
+
+@pytest.mark.parametrize(
+    "field, token",
+    [("vid", "-2"), ("vid", "~"), ("vid", "exc"), ("vid", "a:b"), ("label", "x=y,z"),
+     ("name", "a,b=c")],
+)
+def test_unusual_tokens_round_trip(field, token):
+    g = _one_curve(**{field: token})
+    cycles = {"z": Cycle({g.ids()[0]: Fraction(1, 2)})}
+    again = parse(serialize(g, cycles))
+    assert again.graph == g and again.cycles == cycles
+
+
+def test_parse_rejects_an_empty_label():
+    with pytest.raises(BadToken):
+        parse("graph g\nv a -2 label=\n")
 
 
 def test_serialize_orders_edges_lexicographically():

@@ -9,8 +9,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from resgraph.contract import blow_down_once
 from resgraph.discrepancy import DiscrepancyError, NotNegativeDefinite
-from resgraph.graph import Cycle, DualGraph, Vertex, VertexKind
+from resgraph.graph import Cycle, DualGraph, TransversalInSubset, Vertex, VertexKind, cycle_dot
 from resgraph.linalg import (
     INDEFINITE,
     NEGATIVE_DEFINITE,
@@ -216,6 +217,48 @@ def laufer_oracle(g: DualGraph, subset=None) -> tuple[Cycle, Fraction]:
     zz = sum((coeffs[vid] * cycle_dot_restricted(g, z, vid, idset) for vid in ids), Fraction(0))
     zk = sum((coeffs[vid] * (-2 - g.vertex(vid).self_int) for vid in ids), Fraction(0))
     return z, 1 + (zz + zk) / 2
+
+
+def cycle_pairing(g: DualGraph, a: Cycle, b: Cycle) -> Fraction:
+    """Bilinear extension of cycle_dot; both supports must be complete."""
+    total = Fraction(0)
+    for vid, coeff in a.coefficients.items():
+        total += coeff * cycle_dot(g, b, vid)
+    return total
+
+
+def canonical_dot(g: DualGraph, z: Cycle) -> Fraction:
+    """Pairing with the canonical class under adjunction for rational
+    curves: K . E = -2 - E^2 for every complete E."""
+    total = Fraction(0)
+    for vid, coeff in z.coefficients.items():
+        v = g.vertex(vid)
+        if not v.complete:
+            raise TransversalInSubset(f"{vid!r} is transversal")
+        total += coeff * (-2 - v.self_int)
+    return total
+
+
+def arithmetic_genus(g: DualGraph, z: Cycle) -> Fraction:
+    """p_a(Z) = 1 + (Z.Z + Z.K)/2, from the two pairings above; independent
+    of the genus that fundamental_cycle computes from its own loop."""
+    zz = cycle_pairing(g, z, z)
+    zk = canonical_dot(g, z)
+    return 1 + (zz + zk) / 2
+
+
+def contract_oracle(g: DualGraph, choose=min) -> DualGraph:
+    """Contract complete (-1)-curves until none remain by iterating the
+    one-step reference blow_down_once, with a new DualGraph and a full rescan
+    for the sorted candidate list after every blow-down."""
+    current = g
+    while True:
+        candidates = sorted(
+            v.id for v in current.vertices if v.complete and v.self_int == -1
+        )
+        if not candidates:
+            return current
+        current = blow_down_once(current, choose(candidates))
 
 
 def point_blowups(rng: random.Random, base: DualGraph, k: int, prefix: str = "x") -> DualGraph:
