@@ -3,27 +3,31 @@ text fixtures with expectations, plus the pipeline that checks them.
 
 A fixture file holds one graph, optional named cycles (``pinned`` carries
 externally known codiscrepancies, others are divisors to test), and
-``expect`` lines. verify_entry runs each expectation against the live
-solvers and reports exact expected/actual pairs; a fresh build must verify
-the whole catalog clean.
+``expect`` lines. ``EXPECT_KEYS`` is the expectation vocabulary: loading
+parses each ``expect`` line once against it, and a malformed one is a
+CatalogError with its file and line. verify_entry runs each expectation
+against the live solvers and reports exact expected/actual pairs; a fresh
+build must verify the whole catalog clean.
 """
 
 from __future__ import annotations
 
 import fnmatch
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .contract import (
     ContractionError,
-    CurveFiber,
+    ContractionOutcome,
     NotContractible,
     classify,
     complete_definiteness,
-    contract_minus_ones,
+    contracts_to_zero_curve,
 )
 from .discrepancy import (
     CodiscrepancyResult,
@@ -37,7 +41,7 @@ from .discrepancy import (
     pinned_consistent,
 )
 from .graph import Cycle, DualGraph, GraphError, parse
-from .linalg import format_rational, rational
+from .linalg import LinAlgError, format_rational, rational
 from .wps import cdisc_from_blowup
 
 ROLE_TAIL_ROOT = "tail-root"
@@ -68,44 +72,34 @@ REQUIRED_ENTRIES = (
 )
 
 
-# The expectation keys (by head) that each file command of the CLI checks.
-# ``rational`` and ``rejected`` run only under ``catalog verify``.
-COMMAND_KEYS = {
-    "classify": ("outcome", "definiteness", "fiber_cycle", "contracts_to_zero_curve"),
-    "codisc": ("codisc", "codisc_nonneg", "denominators_divide", "blowup_disc", "blowup_mult",
-               "pinned_consistent", "implied_tail_start"),
-    "pullback": ("pullback",),
-    "triviality": ("trivial",),
-}
-
-
 class CatalogError(Exception):
     pass
+
+
+class Expectation(NamedTuple):
+    """One ``expect <key> = <value>`` line, parsed at load."""
+
+    key: str  # as written
+    text: str  # the value as written
+    line: int
+    head: str  # the first word of the key, an ``EXPECT_KEYS`` head
+    arg: str | None  # the vertex or cycle that the key names
+    value: object  # the value as the head's parser read it
+    check: str  # the check name of its record
 
 
 @dataclass
 class CatalogEntry:
     name: str
-    title: str
     graph: DualGraph
     cycles: dict[str, Cycle]
-    expects: list[tuple[str, str]]
-    warnings: list[str] = field(default_factory=list)
+    expects: list[Expectation]
     path: Path | None = None
-
-    @property
-    def special_vertices(self) -> dict[str, str]:
-        """Role -> vertex id, read off vertex labels."""
-        roles: dict[str, str] = {}
-        for v in self.graph.vertices:
-            if v.label:
-                roles[v.label] = v.id
-        return roles
 
     @property
     def rejection_stated(self) -> bool:
         """Whether the entry's first ``rejected`` expectation is true."""
-        return [value for key, value in self.expects if key == "rejected"][:1] == ["true"]
+        return next((e.value for e in self.expects if e.head == "rejected"), False)
 
 
 @dataclass
@@ -129,37 +123,150 @@ class CheckRecord:
         }
 
 
+# -- value parsers: (value as written, the entry loaded so far) -> value
+
+
+def _text(text: str, entry: CatalogEntry) -> str:
+    return text
+
+
+def _flag(text: str, entry: CatalogEntry) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {text!r}")
+    return text.lower() == "true"
+
+
+def _rational(text: str, entry: CatalogEntry) -> Fraction:
+    try:
+        return rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad rational {text!r}") from None
+
+
+def _count(text: str, entry: CatalogEntry) -> int:
+    if not (text.isascii() and text.isdigit() and int(text) > 0):
+        raise ValueError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _cycle(text: str, entry: CatalogEntry) -> Cycle:
+    if text not in entry.cycles:
+        raise ValueError(f"no cycle named {text!r}")
+    return entry.cycles[text]
+
+
+def _blowup_mult(text: str, entry: CatalogEntry) -> tuple[int, Fraction]:
+    """The multiplicity and the last ``blowup_disc`` before it."""
+    discs = [e.value for e in entry.expects if e.head == "blowup_disc"]
+    if not discs:
+        raise ValueError("blowup_mult before blowup_disc")
+    return _count(text, entry), discs[-1]
+
+
+class ExpectKey(NamedTuple):
+    command: str | None  # the file command that reports it; None: catalog verify only
+    names: str | None  # what the key's argument names: None, "vertex" or "cycle"
+    parse: Callable[[str, CatalogEntry], object]
+    # (checker, expectation) -> (expected, actual), for ``_render``; None for a
+    # key that only feeds later ones
+    check: Callable[[EntryChecker, Expectation], tuple] | None
+    reads: str | None = None  # a cycle that the entry must define for the check
+    reported_as: str | None = None  # the record's check name, with the argument
+
+
+EXPECT_KEYS: dict[str, ExpectKey] = {
+    "outcome": ExpectKey("classify", None, _text, lambda c, e: (e.value, c.outcome)),
+    "definiteness": ExpectKey("classify", None, _text,
+                              lambda c, e: (e.value, complete_definiteness(c.g))),
+    "fiber_cycle": ExpectKey("classify", None, _cycle,
+                             lambda c, e: (e.value, getattr(c.outcome, "fiber", c.outcome))),
+    "contracts_to_zero_curve": ExpectKey("classify", None, _flag,
+                                         lambda c, e: (e.value, contracts_to_zero_curve(c.g))),
+    "codisc": ExpectKey("codisc", "vertex", _rational,
+                        lambda c, e: (e.value, c.codisc.values.get(e.arg))),
+    "codisc_nonneg": ExpectKey("codisc", None, _flag,
+                               lambda c, e: (e.value, c.codisc.all_nonnegative)),
+    "denominators_divide": ExpectKey("codisc", None, _count,
+                                     lambda c, e: (True, denominator_filter(c.codisc, e.value))),
+    "blowup_disc": ExpectKey("codisc", None, _rational, None),
+    "blowup_mult": ExpectKey(
+        "codisc", "vertex", _blowup_mult,
+        lambda c, e: (cdisc_from_blowup(*e.value), c.codisc.values.get(e.arg)),
+        reported_as="blowup_codisc",
+    ),
+    "pinned_consistent": ExpectKey("codisc", None, _flag,
+                                   lambda c, e: (e.value, pinned_consistent(c.g, c.pins())),
+                                   reads="pinned"),
+    "implied_tail_start": ExpectKey("codisc", None, _rational,
+                                    lambda c, e: (e.value, c.implied_start()), reads="pinned"),
+    "pullback": ExpectKey("pullback", "cycle", _cycle,
+                          lambda c, e: (e.value, mumford_pullback(c.g, c.entry.cycles[e.arg]))),
+    "trivial": ExpectKey("triviality", "cycle", _flag,
+                         lambda c, e: (e.value, numerically_trivial(c.g, c.entry.cycles[e.arg]))),
+    "rational": ExpectKey(None, None, _flag, lambda c, e: (e.value, all_components_rational(c.g))),
+    "rejected": ExpectKey(None, None, _flag, lambda c, e: (
+        e.value, isinstance(c.outcome, NotContractible) or c.negative_tail_start() is not None
+    )),
+}
+
+
+def _render(value) -> str:
+    """A check's expected or actual value as its record shows it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if value is None:
+        return "absent"
+    return value if isinstance(value, str) else value.render()  # a cycle, outcome or form
+
+
+def _expectation(entry: CatalogEntry, key: str, text: str, line: int) -> Expectation:
+    head, *args = key.split()
+    spec = EXPECT_KEYS.get(head)
+    if spec is None:
+        raise ValueError(f"unknown expectation key {key!r}")
+    if len(args) != (spec.names is not None):
+        if not args:
+            raise ValueError(f"expectation {key!r} names no {spec.names}")
+        takes = f"one {spec.names}" if spec.names else "no argument"
+        raise ValueError(f"expectation {key!r} takes {takes}")
+    arg = args[0] if args else None
+    named = entry.cycles if spec.names == "cycle" else entry.graph.ids()
+    if arg is not None and arg not in named:
+        raise ValueError(f"no {spec.names} named {arg!r}")
+    if spec.reads is not None and spec.reads not in entry.cycles:
+        raise ValueError(f"{head} needs a {spec.reads!r} cycle")
+    check = key if spec.reported_as is None else f"{spec.reported_as} {arg}"
+    return Expectation(key, text, line, head, arg, spec.parse(text, entry), check)
+
+
 def data_root() -> Path:
     return Path(resources.files("resgraph") / "data" / "catalog")
 
 
-def _entry_title(text: str) -> str:
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            return stripped.lstrip("#").strip()
-        if stripped:
-            break
-    return ""
+def parse_entry(text: str, name: str, path: Path | None = None) -> CatalogEntry:
+    """Parse a fixture and each of its ``expect`` lines against
+    ``EXPECT_KEYS``; a malformed one is a CatalogError naming the file (the
+    entry, without a path) and the line."""
+    result = parse(text)
+    entry = CatalogEntry(name, result.graph, result.cycles, [], path)
+    for key, value, line in result.expects:
+        try:
+            entry.expects.append(_expectation(entry, key, value, line))
+        except ValueError as exc:
+            raise CatalogError(f"{path or name}: line {line}: {exc}") from None
+    return entry
 
 
 def load_entry(path: Path, name: str | None = None) -> CatalogEntry:
-    text = path.read_text(encoding="utf-8")
-    result = parse(text)
-    return CatalogEntry(
-        name=name or path.stem,
-        title=_entry_title(text),
-        graph=result.graph,
-        cycles=result.cycles,
-        expects=result.expects,
-        warnings=result.warnings,
-        path=path,
-    )
+    return parse_entry(path.read_text(encoding="utf-8"), name or path.stem, path)
 
 
 def load_catalog(root: Path | None = None) -> list[CatalogEntry]:
-    """Load every fixture under root (default: the packaged catalog),
-    validating that the required entries are all present."""
+    """Load every fixture ``<topic>/<name>.dg`` under root. There must be
+    one; the packaged catalog (no root) must hold every REQUIRED_ENTRIES
+    name."""
     base = Path(root) if root is not None else data_root()
     entries: list[CatalogEntry] = []
     for path in sorted(base.glob("*/*.dg")):
@@ -168,24 +275,17 @@ def load_catalog(root: Path | None = None) -> list[CatalogEntry]:
             entries.append(load_entry(path, name))
         except (OSError, UnicodeDecodeError, GraphError) as exc:
             raise CatalogError(f"{name}: {exc}") from exc
+    if not entries:
+        raise CatalogError(f"no catalog entries under {base}")
     found = {e.name for e in entries}
-    missing = [name for name in REQUIRED_ENTRIES if name not in found]
+    missing = [name for name in REQUIRED_ENTRIES if name not in found and root is None]
     if missing:
-        raise CatalogError(
-            "catalog is missing required entries: " + ", ".join(missing)
-        )
+        raise CatalogError("catalog is missing required entries: " + ", ".join(missing))
     return entries
 
 
-def _bool(value: str) -> str:
-    v = value.strip().lower()
-    if v not in ("true", "false"):
-        raise CatalogError(f"expected true/false, got {value!r}")
-    return v
-
-
-def _render_bool(flag: bool) -> str:
-    return "true" if flag else "false"
+# The errors a check may meet on a well-formed entry; any other is a defect.
+LIBRARY_ERRORS = (CatalogError, ContractionError, DiscrepancyError, GraphError, LinAlgError)
 
 
 class EntryChecker:
@@ -194,31 +294,18 @@ class EntryChecker:
     def __init__(self, entry: CatalogEntry):
         self.entry = entry
         self.g = entry.graph
-        self._codisc: CodiscrepancyResult | None = None
-        self._outcome = None
-        self._outcome_error: str | None = None
-        self._blowup_disc: Fraction | None = None
 
+    @cached_property
     def codisc(self) -> CodiscrepancyResult:
-        if self._codisc is None:
-            self._codisc = codiscrepancies(self.g)
-        return self._codisc
+        return codiscrepancies(self.g)
 
-    def _render_codisc(self, vid: str) -> str:
-        actual = self.codisc().values.get(vid)
-        return "absent" if actual is None else format_rational(actual)
-
-    def outcome(self):
-        if self._outcome is None and self._outcome_error is None:
-            try:
-                self._outcome = classify(self.g)
-            except ContractionError as exc:
-                self._outcome_error = f"error: {exc}"
-        return self._outcome
-
-    def outcome_render(self) -> str:
-        out = self.outcome()
-        return self._outcome_error if out is None else out.render()
+    @cached_property
+    def outcome(self) -> ContractionOutcome | str:
+        """What ``classify`` returns, or the text of its ContractionError."""
+        try:
+            return classify(self.g)
+        except ContractionError as exc:
+            return f"error: {exc}"
 
     def pins(self) -> dict[str, Fraction]:
         pinned = self.entry.cycles.get("pinned")
@@ -226,14 +313,11 @@ class EntryChecker:
             raise CatalogError(f"{self.entry.name}: no pinned cycle")
         return dict(pinned.coefficients)
 
-    def tail_root(self) -> str:
+    def implied_start(self) -> Fraction:
         roots = self.g.labeled(ROLE_TAIL_ROOT)
         if len(roots) != 1:
             raise CatalogError(f"{self.entry.name}: needs exactly one tail-root label")
-        return roots[0]
-
-    def implied_start(self) -> Fraction:
-        return implied_tail_start(self.g, self.tail_root(), self.pins())
+        return implied_tail_start(self.g, roots[0], self.pins())
 
     def negative_tail_start(self) -> Fraction | None:
         """The implied tail start if it is negative (no effective
@@ -244,124 +328,30 @@ class EntryChecker:
             return None
         return start if start < 0 else None
 
-    def run(self, key: str, value: str) -> CheckRecord | None:
-        name = self.entry.name
-        parts = key.split()
-        head = parts[0]
-
-        if head == "blowup_disc":
-            self._blowup_disc = rational(value)
-            return None
-
-        if head == "outcome":
-            return CheckRecord(name, key, value, self.outcome_render())
-
-        if head == "definiteness":
-            return CheckRecord(
-                name, key, value, complete_definiteness(self.g).render()
-            )
-
-        if head == "rational":
-            actual = _render_bool(all_components_rational(self.g))
-            return CheckRecord(name, key, _bool(value), actual)
-
-        if head == "codisc":
-            expected = format_rational(rational(value))
-            return CheckRecord(name, key, expected, self._render_codisc(parts[1]))
-
-        if head == "codisc_nonneg":
-            return CheckRecord(
-                name, key, _bool(value), _render_bool(self.codisc().all_nonnegative)
-            )
-
-        if head == "denominators_divide":
-            index = int(value)
-            ok = denominator_filter(self.codisc(), index)
-            return CheckRecord(name, key, "true", _render_bool(ok))
-
-        if head == "blowup_mult":
-            vid = parts[1]
-            if self._blowup_disc is None:
-                raise CatalogError(f"{name}: blowup_mult before blowup_disc")
-            predicted = format_rational(cdisc_from_blowup(int(value), self._blowup_disc))
-            return CheckRecord(name, f"blowup_codisc {vid}", predicted, self._render_codisc(vid))
-
-        if head == "pinned_consistent":
-            ok = pinned_consistent(self.g, self.pins())
-            return CheckRecord(name, key, _bool(value), _render_bool(ok))
-
-        if head == "implied_tail_start":
-            actual = self.implied_start()
-            return CheckRecord(
-                name, key, format_rational(rational(value)), format_rational(actual)
-            )
-
-        if head == "rejected":
-            confirmed = (
-                isinstance(self.outcome(), NotContractible)
-                or self.negative_tail_start() is not None
-            )
-            return CheckRecord(name, key, _bool(value), _render_bool(confirmed))
-
-        if head == "pullback":
-            src = self.entry.cycles[parts[1]]
-            expected = self.entry.cycles[value.strip()]
-            actual = mumford_pullback(self.g, src)
-            return CheckRecord(name, key, expected.render(), actual.render())
-
-        if head == "trivial":
-            z = self.entry.cycles[parts[1]]
-            ok = numerically_trivial(self.g, z)
-            return CheckRecord(name, key, _bool(value), _render_bool(ok))
-
-        if head == "fiber_cycle":
-            expected = self.entry.cycles[value.strip()]
-            out = self.outcome()
-            if isinstance(out, CurveFiber):
-                actual_s = out.fiber.render()
-            else:
-                actual_s = self.outcome_render()
-            return CheckRecord(name, key, expected.render(), actual_s)
-
-        if head == "contracts_to_zero_curve":
-            residual = contract_minus_ones(self.g)
-            rest = residual.complete_ids()
-            ok = len(rest) == 1 and residual.vertex(rest[0]).self_int == 0
-            return CheckRecord(name, key, _bool(value), _render_bool(ok))
-
-        raise CatalogError(f"{name}: unknown expectation key {key!r}")
-
     def run_all(self, command: str | None = None, cycle: str | None = None) -> list[CheckRecord]:
         """Run the entry's expectations in fixture order: all of them, or
-        those that the CLI ``command`` reports (``COMMAND_KEYS``). With
-        ``cycle``, only those about that cycle (``expect <key> <cycle>``)
-        run, and a key that names no cycle is a CatalogError. A check that
-        raises becomes an error record, so one bad check never aborts a
-        catalog run."""
-        heads = None if command is None else COMMAND_KEYS[command]
+        those that the CLI ``command`` reports (``EXPECT_KEYS``), and with
+        ``cycle`` only those whose key names that cycle. A check that meets
+        a library error becomes an error record, so one bad check never
+        aborts a catalog run; any other exception is a defect and raises."""
         records = []
-        for key, value in self.entry.expects:
-            parts = key.split()
-            if heads is not None and parts[0] not in heads:
+        for e in self.entry.expects:
+            spec = EXPECT_KEYS[e.head]
+            if spec.check is None or command not in (None, spec.command):
                 continue
-            if cycle is not None:
-                if len(parts) < 2:
-                    path = self.entry.path
-                    raise CatalogError(f"expectation {key!r} in {path} names no cycle")
-                if parts[1] != cycle:
-                    continue
+            if cycle not in (None, e.arg):
+                continue
             try:
-                record = self.run(key, value)
-            except Exception as exc:  # report, do not abort the catalog run
-                record = CheckRecord(self.entry.name, key, value, f"error: {exc}")
-            if record is not None:
-                records.append(record)
+                expected, actual = map(_render, spec.check(self, e))
+            except LIBRARY_ERRORS as exc:
+                expected, actual = e.text, f"error: {exc}"
+            records.append(CheckRecord(self.entry.name, e.check, expected, actual))
         return records
 
 
 def verify_entry(entry: CatalogEntry) -> list[CheckRecord]:
-    """Run every expectation of the entry; failures become records, never
-    exceptions (a crash is reported as an error record)."""
+    """Run every expectation of the entry; a failed check, or one that meets
+    a library error, becomes a record, not an exception."""
     return EntryChecker(entry).run_all()
 
 

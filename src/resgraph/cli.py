@@ -53,9 +53,6 @@ class _Report:
     def say(self, line: str) -> None:
         self.lines.append(line)
 
-    def extend(self, records: list[CheckRecord]) -> None:
-        self.checks.extend(records)
-
     @property
     def failed(self) -> bool:
         return any(not r.passed for r in self.checks)
@@ -85,7 +82,7 @@ class _Report:
 def _load(path: str):
     p = Path(path)
     try:
-        return load_entry(p, p.stem)
+        return load_entry(p)
     except FileNotFoundError:
         raise CatalogError(f"no such file: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
@@ -107,7 +104,7 @@ def cmd_classify(args) -> int:
     report.say(f"definiteness: {complete_definiteness(entry.graph).render()}")
     if isinstance(outcome, CurveFiber):
         report.say(f"fiber cycle: {outcome.fiber.render()}")
-    report.extend(EntryChecker(entry).run_all("classify"))
+    report.checks.extend(EntryChecker(entry).run_all("classify"))
     return report.finish(args.json)
 
 
@@ -124,7 +121,7 @@ def cmd_codisc(args) -> int:
     report.say(f"max_denominator: {result.max_denominator}")
 
     checker = EntryChecker(entry)
-    report.extend(checker.run_all("codisc"))
+    report.checks.extend(checker.run_all("codisc"))
     if not report.failed and entry.rejection_stated:
         start = checker.negative_tail_start()
         if start is not None:
@@ -144,7 +141,7 @@ def cmd_pullback(args) -> int:
     result = mumford_pullback(entry.graph, entry.cycles[args.attached], subset)
     report.say(f"pullback multiplicities: {result.render()}")
     if subset is None:
-        report.extend(EntryChecker(entry).run_all("pullback", args.attached))
+        report.checks.extend(EntryChecker(entry).run_all("pullback", args.attached))
     return report.finish(args.json)
 
 
@@ -159,7 +156,7 @@ def cmd_triviality(args) -> int:
     report.say(f"numerically trivial: {str(not nonzero).lower()}")
     for vid, value in nonzero:
         report.say(f"  pairs with {vid}: {format_rational(value)}")
-    report.extend(EntryChecker(entry).run_all("triviality", args.cycle))
+    report.checks.extend(EntryChecker(entry).run_all("triviality", args.cycle))
     return report.finish(args.json)
 
 

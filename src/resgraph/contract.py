@@ -3,10 +3,10 @@
 A configuration of complete curves contracts to a point exactly when its
 intersection form is negative definite; repeatedly contracting (-1)-curves
 then exposes what the target is (a smooth point, a rational double point, or
-some other rational point). A corank-one negative semidefinite form with a
-strictly positive kernel vector is the signature of a fiber of a rational
-curve fibration, confirmed by the blow-down sequence ending in a single
-self-intersection-zero curve.
+some other rational point). A connected negative semidefinite form always
+has corank one and a strictly positive kernel vector (Zariski's lemma); it
+is a fiber of a rational curve fibration when the blow-down sequence ends
+in a single self-intersection-zero curve.
 """
 
 from __future__ import annotations
@@ -165,6 +165,14 @@ def contract_minus_ones(g: DualGraph, choose: Callable[[list[str]], str] = min) 
     return DualGraph(g.name, vertices, edges)
 
 
+def contracts_to_zero_curve(g: DualGraph, choose: Callable[[list[str]], str] = min) -> bool:
+    """Whether blowing down every complete (-1)-curve leaves one complete
+    curve, of self-intersection 0."""
+    residual = contract_minus_ones(g, choose)
+    rest = residual.complete_ids()
+    return len(rest) == 1 and residual.vertex(rest[0]).self_int == 0
+
+
 def recognize_duval(g: DualGraph, subset: list[str] | None = None) -> ADEType | None:
     """Match a configuration against the rational-double-point shapes.
 
@@ -239,11 +247,12 @@ def classify(
 
     Negative definite: contract every (-1)-curve; an empty residual is a
     smooth point, an ADE residual a rational double point, anything else some
-    other rational point (returned with the residual graph). Corank-one
-    negative semidefinite with a strictly positive primitive kernel whose
-    blow-down ends in a single self-intersection-zero curve: a fiber of a
-    rational curve fibration, returned with the kernel cycle. Everything
-    else: not contractible, with the failed criterion named.
+    other rational point (returned with the residual graph). Negative
+    semidefinite (then of corank one, with a strictly positive primitive
+    kernel) and a blow-down that ends in a single self-intersection-zero
+    curve: a fiber of a rational curve fibration, returned with the kernel
+    cycle. Everything else: not contractible, with the failed criterion
+    named.
     """
     complete = g.complete_ids()
     if not complete:
@@ -265,21 +274,16 @@ def classify(
             return DuValPoint(ade)
         return RationalPoint(residual)
 
-    if defres.is_negative_semidefinite and defres.corank == 1:
-        kernel = defres.kernel[0]
-        if any(c <= 0 for c in kernel):
-            return NotContractible("semidefinite kernel is not strictly positive")
-        residual = contract_minus_ones(g, choose)
-        rest = residual.complete_ids()
-        if len(rest) == 1 and residual.vertex(rest[0]).self_int == 0:
-            fiber = Cycle({vid: Fraction(c) for vid, c in zip(order, kernel)})
+    if defres.is_negative_semidefinite:
+        # The form is connected with nonnegative off-diagonal entries, so by
+        # Zariski's lemma (Perron-Frobenius) it has corank 1 and a kernel
+        # vector with every coefficient positive.
+        if contracts_to_zero_curve(g, choose):
+            fiber = Cycle({vid: Fraction(c) for vid, c in zip(order, defres.kernel[0])})
             return CurveFiber(fiber)
         return NotContractible(
             "semidefinite with positive kernel but blow-down does not end in a zero-curve"
         )
-
-    if defres.is_negative_semidefinite:
-        return NotContractible(f"intersection form has corank {defres.corank}")
     return NotContractible("intersection form is indefinite")
 
 

@@ -250,18 +250,11 @@ class Cycle:
     def support(self) -> list[str]:
         return sorted(self.coefficients)
 
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
     def __add__(self, other: "Cycle") -> "Cycle":
         merged = dict(self.coefficients)
         for k, v in other.coefficients.items():
             merged[k] = merged.get(k, _ZERO) + v
         return Cycle(merged)
-
-    def scale(self, factor) -> "Cycle":
-        f = rational(factor)
-        return Cycle({k: v * f for k, v in self.coefficients.items()})
 
     def render(self) -> str:
         return ", ".join(f"{k}={format_rational(v)}" for k, v in sorted(self.coefficients.items()))
@@ -287,7 +280,7 @@ def cycle_dot(g: DualGraph, z: Cycle, vid: str) -> Fraction:
 class ParseResult:
     graph: DualGraph
     cycles: dict[str, Cycle]
-    expects: list[tuple[str, str]]
+    expects: list[tuple[str, str, int]]  # (key, value, line number), as written
     warnings: list[str]
 
 
@@ -320,7 +313,7 @@ def parse(text: str) -> ParseResult:
     seen: set[str] = set()
     edges: dict[tuple[str, str], int] = {}
     cycles: dict[str, Cycle] = {}
-    expects: list[tuple[str, str]] = []
+    expects: list[tuple[str, str, int]] = []
     warnings: list[str] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -436,7 +429,7 @@ def parse(text: str) -> ParseResult:
             key, value = (x.strip() for x in body.rsplit("=", 1))
             if not key:
                 raise DslSyntaxError(lineno, "expect needs a key")
-            expects.append((key, value))
+            expects.append((key, value, lineno))
 
         else:
             raise DslSyntaxError(lineno, f"unknown directive {directive!r}")

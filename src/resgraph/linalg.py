@@ -61,15 +61,9 @@ def format_rational(value: Fraction) -> str:
 
 class SymMatrix:
     """An immutable symmetric matrix of Fractions, stored as one dict of
-    nonzero entries per row. Both constructors check symmetry."""
+    nonzero entries per row; ``from_sparse`` builds one."""
 
     __slots__ = ("dimension", "_rows")
-
-    def __init__(self, rows: Sequence[Sequence[Fraction | int]]):
-        if any(len(row) != len(rows) for row in rows):
-            raise ValueError("matrix is not square")
-        sparse = SymMatrix.from_sparse([dict(enumerate(row)) for row in rows])
-        self.dimension, self._rows = sparse.dimension, sparse._rows
 
     @classmethod
     def from_sparse(cls, rows: Sequence[Mapping[int, Fraction | int]]) -> "SymMatrix":
@@ -98,10 +92,6 @@ class SymMatrix:
         entries = self._rows[i]
         return tuple(entries.get(j, _ZERO) for j in range(self.dimension))
 
-    def rows(self) -> list[list[Fraction]]:
-        """A mutable dense copy of the entries."""
-        return [list(self.row(i)) for i in range(self.dimension)]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SymMatrix) and self._rows == other._rows
 
@@ -114,14 +104,6 @@ class SymMatrix:
             for i in range(self.dimension)
         )
         return f"SymMatrix[{body}]"
-
-    def apply(self, x: Sequence[Fraction]) -> list[Fraction]:
-        if len(x) != self.dimension:
-            raise ValueError("dimension mismatch")
-        return [
-            sum((v * x[j] for j, v in row.items()), Fraction(0))
-            for row in self._rows
-        ]
 
 
 def _eliminate(

@@ -61,6 +61,8 @@ def wblowup_discrepancy(index: int, weights: Sequence[int]) -> Fraction:
     """Discrepancy of the exceptional divisor of the weighted blowup with
     the given weights over a cyclic quotient of the given index:
     (sum of weights)/index - 1."""
+    if not weights:
+        raise ValueError("a weighted blowup needs at least one weight")
     if index < 1 or any(w < 1 for w in weights):
         raise ValueError("index and weights must be positive")
     return Fraction(sum(weights), index) - 1

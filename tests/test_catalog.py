@@ -4,20 +4,21 @@ from pathlib import Path
 
 import pytest
 
+import resgraph.catalog
 from resgraph.catalog import (
-    COMMAND_KEYS,
-    CatalogEntry,
+    EXPECT_KEYS,
     CatalogError,
     EntryChecker,
     REQUIRED_ENTRIES,
     data_root,
     load_catalog,
+    parse_entry,
     records_to_json,
     records_to_table,
     verify_catalog,
     verify_entry,
 )
-from resgraph.graph import parse
+from util import special_vertices
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,20 +51,44 @@ def test_conic_entry_shape():
 
 def test_special_vertex_roles():
     entries = {e.name: e for e in load_catalog()}
-    roles = entries["classification/d4-target"].special_vertices
+    roles = special_vertices(entries["classification/d4-target"])
     assert roles["core"] == "c"
     assert roles["side"] == "e"
-    d5 = entries["classification/d5-target"].special_vertices
+    d5 = special_vertices(entries["classification/d5-target"])
     assert d5["section"] == "x"
 
 
-def test_empty_catalog_reports_missing_entries(tmp_path):
-    (tmp_path / "classification").mkdir()
+def _copy_fixture(root: Path, name: str, as_name: str | None = None) -> None:
+    target = root / f"{as_name or name}.dg"
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text((data_root() / f"{name}.dg").read_text(encoding="utf-8"), encoding="utf-8")
+
+
+def test_packaged_catalog_names_missing_entries(tmp_path, monkeypatch):
+    _copy_fixture(tmp_path, "classification/smooth-target")
+    monkeypatch.setattr(resgraph.catalog, "data_root", lambda: tmp_path)
     with pytest.raises(CatalogError) as err:
-        load_catalog(tmp_path)
+        load_catalog()
     message = str(err.value)
     assert "missing required entries" in message
-    assert "classification/a2-target" in message
+    assert "classification/a2-target" in message and "duval/crepant-a1" in message
+    assert "classification/smooth-target" not in message
+
+
+def test_root_without_entries_is_an_error(tmp_path):
+    (tmp_path / "classification").mkdir()
+    with pytest.raises(CatalogError, match="no catalog entries under"):
+        load_catalog(tmp_path)
+    with pytest.raises(CatalogError, match="no catalog entries under"):
+        load_catalog(tmp_path / "no-such-dir")
+
+
+def test_one_entry_root_verifies(tmp_path):
+    _copy_fixture(tmp_path, "duval/crepant-e8", "mine/e8")
+    (entry,) = load_catalog(tmp_path)
+    assert entry.name == "mine/e8"
+    records = verify_catalog(root=tmp_path)
+    assert records and all(r.passed and r.entry == "mine/e8" for r in records)
 
 
 def test_every_entry_verifies_clean():
@@ -75,15 +100,31 @@ def test_every_entry_verifies_clean():
     assert len(records) > 150
 
 
-def test_verify_entry_reports_failures_instead_of_raising():
-    entries = {e.name: e for e in load_catalog()}
-    entry = entries["duval/crepant-a1"]
-    entry.expects.append(("outcome", "SmoothPoint"))
+def test_verify_entry_reports_failures_instead_of_raising(monkeypatch):
+    text = (data_root() / "duval" / "crepant-a1.dg").read_text(encoding="utf-8")
+    entry = parse_entry(text + "expect outcome = SmoothPoint\n", "duval/crepant-a1")
     records = verify_entry(entry)
     assert any(not r.passed for r in records)
-    entry.expects.append(("bogus_key", "1"))
-    records = verify_entry(entry)
-    assert any(r.actual.startswith("error:") for r in records)
+    assert (records[-1].check, records[-1].expected) == ("outcome", "SmoothPoint")
+    # a check that meets a library error (here a singular system) is an error record
+    fiber = "graph g\nv a -2\nv b -2\ne a b m=2\n"
+    fiber += "expect codisc a = 1\nexpect outcome = NotContractible\n"
+    records = verify_entry(parse_entry(fiber, "fiber"))
+    assert records[0].check == "codisc a" and records[0].expected == "1"
+    assert records[0].actual.startswith("error: ")
+    assert records[1].passed
+    # an unknown key is an input error at load, with the file and line
+    line = len(text.splitlines()) + 1
+    message = f"^duval/crepant-a1: line {line}: unknown expectation key"
+    with pytest.raises(CatalogError, match=message):
+        parse_entry(text + "expect bogus_key = 1\n", "duval/crepant-a1")
+    # any other exception in a check is a defect, not a record
+    def defect(checker, expectation):
+        raise RuntimeError("defect")
+
+    monkeypatch.setitem(EXPECT_KEYS, "outcome", EXPECT_KEYS["outcome"]._replace(check=defect))
+    with pytest.raises(RuntimeError, match="defect"):
+        verify_entry(entry)
 
 
 def test_filtering():
@@ -109,15 +150,17 @@ def test_table_rendering():
     assert "checks passed" in table
 
 
-def _readme_keys() -> dict[str, str]:
-    """Key head -> the "reported by" cell of the README's expectation table."""
+def _readme_keys() -> dict[str, tuple[str, str, str]]:
+    """Key head -> (the key's argument, the value cell, the "reported by"
+    cell) of the README's expectation table."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.partition("\n## Expectation keys\n")[2].partition("\n## ")[0]
     rows = {}
     for line in section.splitlines():
         if line.startswith("| `"):
             cells = [cell.strip() for cell in line.strip("|").split("|")]
-            rows[cells[0].strip("`").split()[0]] = cells[-1].strip("`")
+            head, *arg = cells[0].strip("`").split()
+            rows[head] = ("".join(arg), cells[1], cells[-1].strip("`"))
     return rows
 
 
@@ -136,27 +179,71 @@ def _fixture_keys() -> set[str]:
 
 def test_readme_key_table_matches_command_keys():
     readme = _readme_keys()
-    verify_only = {head for head, by in readme.items() if by == "verify only"}
+    verify_only = {head for head, (*_, by) in readme.items() if by == "verify only"}
     assert verify_only == {"rational", "rejected"}
-    reported = {head: command for command, heads in COMMAND_KEYS.items() for head in heads}
-    assert {head: by for head, by in readme.items() if head not in verify_only} == reported
-    assert _fixture_keys() <= reported.keys() | verify_only
+    arg = {None: "", "vertex": "<v>", "cycle": "<cycle>"}
+    value = {
+        resgraph.catalog._text: {"text"},
+        resgraph.catalog._flag: {"flag"},
+        resgraph.catalog._rational: {"rational"},
+        resgraph.catalog._count: {"index"},
+        resgraph.catalog._blowup_mult: {"multiplicity"},
+        resgraph.catalog._cycle: {"cycle"},
+    }
+    assert readme.keys() == EXPECT_KEYS.keys() == PROBE_LINES.keys()
+    for head, (argument, grammar, by) in readme.items():
+        key = EXPECT_KEYS[head]
+        assert (argument, by) == (arg[key.names], key.command or "verify only"), head
+        assert grammar in value[key.parse], head
+    # expect-unknown-key.dg states a key that is in no table, on purpose
+    assert _fixture_keys() <= EXPECT_KEYS.keys() | {"no_such_key"}
 
 
 def _checker(text: str) -> EntryChecker:
-    result = parse(text)
-    return EntryChecker(CatalogEntry("probe", "", result.graph, result.cycles, result.expects))
+    return EntryChecker(parse_entry(text, "probe"))
+
+
+# A pinned tail root r with a neighbour o and a one-curve tail t, a
+# transversal germ s on o, and one valid line per documented key.
+PROBE = (
+    "graph g\nv r -3 label=tail-root\nv o -2\nv t -2\nv s ~\ne r o\ne r t\ne o s\n"
+    "cycle pinned: r=1, o=1/2\ncycle z: s=1\n"
+)
+PROBE_LINES = {
+    "outcome": ["outcome = SmoothPoint"],
+    "definiteness": ["definiteness = NegativeDefinite"],
+    "fiber_cycle": ["fiber_cycle = z"],
+    "contracts_to_zero_curve": ["contracts_to_zero_curve = false"],
+    "codisc": ["codisc o = 0"],
+    "codisc_nonneg": ["codisc_nonneg = true"],
+    "denominators_divide": ["denominators_divide = 2"],
+    "blowup_disc": ["blowup_disc = 1/2"],
+    "blowup_mult": ["blowup_disc = 1/2", "blowup_mult o = 3"],
+    "pinned_consistent": ["pinned_consistent = false"],
+    "implied_tail_start": ["implied_tail_start = -1/2"],
+    "pullback": ["pullback z = z"],
+    "trivial": ["trivial z = false"],
+    "rational": ["rational = true"],
+    "rejected": ["rejected = true"],
+}
 
 
 @pytest.mark.parametrize("head", sorted(_readme_keys()))
 def test_every_documented_key_reaches_a_check(head):
-    checker = _checker("graph g\nv a -2\ncycle z: a=1\n")
-    with pytest.raises(CatalogError, match="unknown expectation key"):
-        checker.run("no_such_key z", "z")
-    try:
-        checker.run(f"{head} z", "z")
-    except Exception as exc:  # a check may reject the probe's values
-        assert "unknown expectation key" not in str(exc)
+    lines = PROBE_LINES[head]
+    checker = _checker(PROBE + "".join(f"expect {line}\n" for line in lines))
+    line = PROBE.count("\n") + 1
+    with pytest.raises(CatalogError, match=f"^probe: line {line}: unknown expectation key"):
+        _checker(PROBE + f"expect no_such_key z = z\nexpect {lines[-1]}\n")
+    (e,) = [e for e in checker.entry.expects if e.head == head]
+    assert (e.key, e.text, e.line) == (*lines[-1].split(" = "), line + len(lines) - 1)
+    records = checker.run_all()
+    if EXPECT_KEYS[head].check is None:
+        assert records == []
+        return
+    (record,) = records
+    assert record.check == e.key.replace("blowup_mult", "blowup_codisc")
+    assert not record.actual.startswith("error:"), record
 
 
 # root r (-3) pinned to 1 with a pinned neighbour o and a one-curve tail t:
@@ -169,10 +256,10 @@ TAIL = "graph g\nv r -3 label=tail-root\nv o -2\nv t -2\ne r o\ne r t\n"
     [("1/2", Fraction(-1, 2)), ("1", None), ("2", None)],
 )
 def test_negative_tail_start_is_the_rejection_rule(o, start):
-    checker = _checker(TAIL + f"cycle pinned: r=1, o={o}\n")
+    checker = _checker(TAIL + f"cycle pinned: r=1, o={o}\nexpect rejected = true\n")
     assert checker.implied_start() == Fraction(o) - 1
     assert checker.negative_tail_start() == start
-    record = checker.run("rejected", "true")
+    (record,) = checker.run_all()
     assert record.actual == ("false" if start is None else "true")
 
 
@@ -183,6 +270,75 @@ def test_negative_tail_start_is_none_without_a_pinned_tail():
 
 def test_rejection_stated_reads_the_first_rejected_key():
     assert _checker(TAIL + "expect rejected = true\n").entry.rejection_stated
+    assert _checker(TAIL + "expect rejected = True\n").entry.rejection_stated
     both = TAIL + "expect rejected = false\nexpect rejected = true\n"
     assert not _checker(both).entry.rejection_stated
     assert not _checker(TAIL).entry.rejection_stated
+
+
+# no pinned cycle: a curve a, its neighbour o, a transversal germ s on o
+LOAD_BASE = "graph g\nv a -2\nv o -2\nv s ~\ne a o\ne o s\ncycle z: s=1\n"
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("bogus = 1", "unknown expectation key 'bogus'"),
+        ("codisc = 1", "expectation 'codisc' names no vertex"),
+        ("trivial = true", "expectation 'trivial' names no cycle"),
+        ("pullback = z", "expectation 'pullback' names no cycle"),
+        ("outcome x = SmoothPoint", "expectation 'outcome x' takes no argument"),
+        ("codisc a o = 1", "expectation 'codisc a o' takes one vertex"),
+        ("trivial z z = true", "expectation 'trivial z z' takes one cycle"),
+        ("codisc q = 1", "no vertex named 'q'"),
+        ("trivial nope = true", "no cycle named 'nope'"),
+        ("pullback z = nope", "no cycle named 'nope'"),
+        ("fiber_cycle = nope", "no cycle named 'nope'"),
+        ("codisc_nonneg = yes", "expected true/false, got 'yes'"),
+        ("rejected = 1", "expected true/false, got '1'"),
+        ("codisc o = x", "bad rational 'x'"),
+        ("codisc o = 1/0", "bad rational '1/0'"),
+        ("blowup_disc = 1.5", "bad rational '1.5'"),
+        ("denominators_divide = x", "expected a positive integer, got 'x'"),
+        ("denominators_divide = 0", "expected a positive integer, got '0'"),
+        ("denominators_divide = -4", "expected a positive integer, got '-4'"),
+        ("blowup_mult o = 1", "blowup_mult before blowup_disc"),
+        ("blowup_disc = 1/2\nexpect blowup_mult o = 0", "expected a positive integer, got '0'"),
+        ("pinned_consistent = true", "pinned_consistent needs a 'pinned' cycle"),
+        ("implied_tail_start = -1/2", "implied_tail_start needs a 'pinned' cycle"),
+    ],
+)
+def test_malformed_expectation_is_a_load_error(tmp_path, lines, message):
+    line = LOAD_BASE.count("\n") + 1 + lines.count("\n")
+    with pytest.raises(CatalogError) as err:
+        parse_entry(f"{LOAD_BASE}expect {lines}\n", "probe")
+    assert str(err.value) == f"probe: line {line}: {message}"
+    path = tmp_path / "probe.dg"
+    path.write_text(f"{LOAD_BASE}expect {lines}\n", encoding="utf-8")
+    with pytest.raises(CatalogError) as err:
+        resgraph.catalog.load_entry(path)
+    assert str(err.value) == f"{path}: line {line}: {message}"
+
+
+def test_values_are_parsed_once_at_load():
+    text = (
+        LOAD_BASE + "expect blowup_disc = 1/2\nexpect blowup_mult o = 2\n"
+        "expect blowup_disc = 3/4\nexpect blowup_mult a = 3\nexpect codisc o = -6/4\n"
+        "expect rejected = TRUE\nexpect pullback z = z\nexpect outcome = SmoothPoint\n"
+    )
+    entry = parse_entry(text, "probe")
+    values = [(e.head, e.arg, e.value) for e in entry.expects]
+    assert values == [
+        ("blowup_disc", None, Fraction(1, 2)),
+        ("blowup_mult", "o", (2, Fraction(1, 2))),
+        ("blowup_disc", None, Fraction(3, 4)),
+        ("blowup_mult", "a", (3, Fraction(3, 4))),
+        ("codisc", "o", Fraction(-3, 2)),
+        ("rejected", None, True),
+        ("pullback", "z", entry.cycles["z"]),
+        ("outcome", None, "SmoothPoint"),
+    ]
+    assert [e.check for e in entry.expects][:4] == [
+        "blowup_disc", "blowup_codisc o", "blowup_disc", "blowup_codisc a"
+    ]
+    assert entry.rejection_stated

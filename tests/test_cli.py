@@ -198,6 +198,68 @@ def test_expectation_without_cycle_exits_2(tmp_path, capsys, command, expect):
     assert "names no cycle" in err
 
 
+@pytest.mark.parametrize(
+    "expect",
+    [
+        "codisc = 1",
+        "denominators_divide = x",
+        "denominators_divide = 0",
+        "codisc a = 1/0",
+        "pullback z = nope",
+        "codisc q = 1",
+    ],
+)
+def test_malformed_expectation_exits_2_with_file_and_line(tmp_path, capsys, expect):
+    (tmp_path / "mine").mkdir()
+    path = tmp_path / "mine" / "g.dg"
+    path.write_text(f"graph g\nv a -2\nv t ~\ne a t\ncycle z: t=1\nexpect {expect}\n")
+    for argv in (
+        ["classify", str(path)],
+        ["codisc", str(path)],
+        ["pullback", str(path), "--attached", "z"],
+        ["triviality", str(path), "--cycle", "z"],
+        ["catalog", "verify", "--root", str(tmp_path)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert err.startswith(f"error: {path}: line 6: ") and "FAIL" not in err, argv
+
+
+@pytest.mark.parametrize("flag", ["true", "True", "TRUE"])
+def test_codisc_confirms_a_rejection_however_true_is_spelled(tmp_path, capsys, flag):
+    path = tmp_path / "tail.dg"
+    path.write_text(
+        "graph g\nv r -3 label=tail-root\nv o -2\nv t -2\ne r o\ne r t\n"
+        f"cycle pinned: r=1, o=1/2\nexpect rejected = {flag}\n"
+    )
+    code, out, _ = run(capsys, "codisc", str(path))
+    assert code == 1
+    assert "rejection confirmed: implied tail start -1/2 < 0" in out
+
+
+def test_catalog_verify_root_needs_an_entry(tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
+    code, out, err = run(capsys, "catalog", "verify", "--root", str(tmp_path))
+    assert code == 2 and not out
+    assert err == f"error: no catalog entries under {tmp_path}\n"
+
+
+def test_catalog_verify_one_entry_root_passes(tmp_path, capsys):
+    (tmp_path / "mine").mkdir()
+    (tmp_path / "mine" / "e8.dg").write_text(
+        (data_root() / "duval" / "crepant-e8.dg").read_text(encoding="utf-8")
+    )
+    code, out, err = run(capsys, "catalog", "verify", "--root", str(tmp_path))
+    assert code == 0 and not err
+    assert "mine/e8" in out and "FAIL" not in out
+
+
+def test_wdisc_without_weights_exits_2(capsys):
+    code, out, err = run(capsys, "wdisc", "--index", "2", "--weights", ",")
+    assert code == 2 and not out
+    assert err == "error: a weighted blowup needs at least one weight\n"
+
+
 def test_pair_command(capsys):
     code, out, _ = run(
         capsys, "pair", "--weights", "3,2,1,1", "--degrees", "1,1", "--k", "-4"

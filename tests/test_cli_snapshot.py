@@ -8,7 +8,8 @@ change of output, re-record with
 
     PYTHONPATH=src python tests/test_cli_snapshot.py
 
-and name every changed entry in the change log.
+which prints the argv of every record that changed, was added or was
+dropped against the committed file; name each of them in the change log.
 """
 
 import io
@@ -89,7 +90,13 @@ def _cases() -> list[list[str]]:
         ["catalog", "verify", "--root", f"{INPUTS}/latin1"],
         ["catalog", "verify", "--root", "no-such-dir"],
         ["catalog", "verify", "--root", f"{INPUTS}/inputs"],
+        ["wdisc", "--index", "2", "--weights", ","],
+        ["catalog", "verify", "--root", f"{INPUTS}/typo"],
+        ["catalog", "verify", "--root", f"{INPUTS}/one-entry"],
     ]
+    bad_expects = (ROOT / INPUTS).glob("inputs/expect-*.dg")
+    for path in sorted(p.relative_to(ROOT).as_posix() for p in bad_expects):
+        cases += [["classify", path], ["codisc", path]]
     return cases
 
 
@@ -118,11 +125,20 @@ def test_snapshot_covers_every_case():
 
 def record() -> None:
     os.chdir(ROOT)
+    old = {tuple(case["argv"]): case for case in (_load() if SNAPSHOT.exists() else [])}
     results = []
     for argv in _cases():
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             results.append(_call(argv, lambda: (out.getvalue(), err.getvalue())))
+    new = {tuple(case["argv"]): case for case in results}
+    for argv, case in new.items():
+        if argv not in old:
+            print("added:", " ".join(argv))
+        elif old[argv] != case:
+            print("changed:", " ".join(argv))
+    for argv in [argv for argv in old if argv not in new]:
+        print("dropped:", " ".join(argv))
     SNAPSHOT.write_text(json.dumps(results, indent=1) + "\n", encoding="utf-8")
     print(f"recorded {len(results)} calls in {SNAPSHOT}")
 

@@ -67,6 +67,11 @@ def test_wblowup_rejects_bad_input():
         wblowup_discrepancy(2, (0, 1))
 
 
+def test_wblowup_needs_a_weight():
+    with pytest.raises(ValueError, match="at least one weight"):
+        wblowup_discrepancy(2, ())
+
+
 def test_cdisc_from_blowup():
     assert cdisc_from_blowup(2, F(3, 4)) == F(3, 2)
     assert cdisc_from_blowup(4, F(3, 4)) == F(3)

@@ -72,8 +72,36 @@ def pd_by_leading_minors(M: SymMatrix) -> bool:
     return True
 
 
+def sym_matrix(rows: list[list]) -> SymMatrix:
+    """A SymMatrix from dense rows, which must be square and symmetric."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix is not square")
+    return SymMatrix.from_sparse([dict(enumerate(row)) for row in rows])
+
+
+def dense_rows(M: SymMatrix) -> list[list[Fraction]]:
+    """A mutable dense copy of the entries."""
+    return [list(M.row(i)) for i in range(M.dimension)]
+
+
+def apply(M: SymMatrix, x: list[Fraction]) -> list[Fraction]:
+    """M x, over the stored nonzero entries of each row."""
+    if len(x) != M.dimension:
+        raise ValueError("dimension mismatch")
+    return [sum((v * x[j] for j, v in row.items()), Fraction(0)) for row in M._rows]
+
+
+def scaled(z: Cycle, factor) -> Cycle:
+    return Cycle({vid: c * Fraction(factor) for vid, c in z.coefficients.items()})
+
+
+def special_vertices(entry) -> dict[str, str]:
+    """Role -> vertex id of a catalog entry, read off vertex labels."""
+    return {v.label: v.id for v in entry.graph.vertices if v.label}
+
+
 def negated(M: SymMatrix) -> SymMatrix:
-    return SymMatrix([[-M[i, j] for j in range(M.dimension)] for i in range(M.dimension)])
+    return sym_matrix([[-M[i, j] for j in range(M.dimension)] for i in range(M.dimension)])
 
 
 def permuted(M: SymMatrix, perm: list[int]) -> SymMatrix:
@@ -81,11 +109,11 @@ def permuted(M: SymMatrix, perm: list[int]) -> SymMatrix:
     entry (perm[i], perm[j]) of M."""
     if sorted(perm) != list(range(M.dimension)):
         raise ValueError("not a permutation")
-    return SymMatrix([[M[pi, pj] for pj in perm] for pi in perm])
+    return sym_matrix([[M[pi, pj] for pj in perm] for pi in perm])
 
 
 def quadratic_form(M: SymMatrix, x: list[Fraction]) -> Fraction:
-    return sum((xi * yi for xi, yi in zip(x, M.apply(x))), Fraction(0))
+    return sum((xi * yi for xi, yi in zip(x, apply(M, x))), Fraction(0))
 
 
 def _dense_eliminate(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -143,7 +171,7 @@ def dense_kernel_basis(M: SymMatrix) -> list[list[int]]:
     """Kernel basis from the free columns of the column-order echelon form,
     in column order, each vector made primitive."""
     n = M.dimension
-    rows, pivots = _dense_eliminate(M.rows())
+    rows, pivots = _dense_eliminate(dense_rows(M))
     basis = []
     for fc in [c for c in range(n) if c not in pivots]:
         v = [Fraction(0)] * n
