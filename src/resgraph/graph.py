@@ -426,7 +426,7 @@ def parse(text: str) -> ParseResult:
             body = line[len("expect"):].strip()
             if "=" not in body:
                 raise DslSyntaxError(lineno, "expected: expect <key> = <value>")
-            key, value = (x.strip() for x in body.rsplit("=", 1))
+            key, value = (x.strip() for x in body.split("=", 1))
             if not key:
                 raise DslSyntaxError(lineno, "expect needs a key")
             expects.append((key, value, lineno))

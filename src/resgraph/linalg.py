@@ -1,24 +1,31 @@
 """Exact rational linear algebra: sparse symmetric matrices, solving,
 definiteness and kernels.
 
-Every scalar is a ``fractions.Fraction`` (arbitrary precision, always in
-lowest terms, positive denominator); nothing in this module ever rounds.
-Matrices are immutable, safe to share, and stored sparsely. ``solve``,
-``definiteness`` and ``kernel_basis`` share one elimination kernel whose
-minimum-degree pivot order peels leaves on a forest (which resolution graphs
-almost always are): no fill-in, short rationals, time linear in the size.
+Every result is an exact rational: a ``fractions.Fraction`` in lowest terms
+with a positive denominator; nothing in this module ever rounds. Matrices
+are immutable, safe to share, and stored sparsely, integral entries as
+``int``. ``solve``, ``definiteness`` and ``kernel_basis`` share one
+fraction-free elimination kernel on integer rows, whose minimum-degree pivot
+order peels leaves on a forest (which resolution graphs almost always are):
+no fill-in, short integers, time linear in the size.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
 from heapq import heappop, heappush
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
-_ZERO = Fraction(0)
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_denominator = attrgetter("denominator")
+# A Fraction from a numerator and a positive denominator already coprime,
+# without the gcd the public constructor takes (a private API: CPython 3.12
+# has the classmethod, 3.10 and 3.11 the keyword).
+_fraction = getattr(Fraction, "_from_coprime_ints", None) or partial(Fraction, _normalize=False)
 
 
 class LinAlgError(Exception):
@@ -60,8 +67,10 @@ def format_rational(value: Fraction) -> str:
 
 
 class SymMatrix:
-    """An immutable symmetric matrix of Fractions, stored as one dict of
-    nonzero entries per row; ``from_sparse`` builds one."""
+    """An immutable symmetric matrix of rationals, stored as one dict of
+    nonzero entries per row; ``from_sparse`` builds one. An integral entry
+    is stored as an ``int`` and any other as a ``Fraction``; indexing,
+    ``row`` and ``repr`` always give Fractions."""
 
     __slots__ = ("dimension", "_rows")
 
@@ -70,10 +79,13 @@ class SymMatrix:
         """Build from one ``{column: value}`` mapping per row, in time linear
         in the number of entries."""
         n = len(rows)
-        # One Fraction per distinct value: few conversions, and the symmetry
-        # check mostly compares an object with itself.
-        fraction = {x: rational(x) for x in {x for row in rows for x in row.values()}}
-        table = tuple({j: q for j, x in row.items() if (q := fraction[x])} for row in rows)
+        # One conversion per distinct value: few conversions, and the
+        # symmetry check mostly compares an object with itself.
+        exact = {
+            x: q.numerator if (q := rational(x)).denominator == 1 else q
+            for x in {x for row in rows for x in row.values()}
+        }
+        table = tuple({j: q for j, x in row.items() if (q := exact[x])} for row in rows)
         for i, row in enumerate(table):
             for j, x in row.items():
                 if not 0 <= j < n:
@@ -86,11 +98,11 @@ class SymMatrix:
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
-        return self._rows[i].get(range(self.dimension)[j], _ZERO)
+        return Fraction(self._rows[i].get(range(self.dimension)[j], 0))
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         entries = self._rows[i]
-        return tuple(entries.get(j, _ZERO) for j in range(self.dimension))
+        return tuple(Fraction(entries.get(j, 0)) for j in range(self.dimension))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymMatrix) and self._rows == other._rows
@@ -107,22 +119,40 @@ class SymMatrix:
 
 
 def _eliminate(
-    M: SymMatrix, rhs: list[Fraction] | None = None
-) -> tuple[list[dict[int, Fraction]], list[tuple[int, int]], list[int]]:
-    """Sparse Gaussian elimination of M, doing the same row operations on
-    rhs, when given, in place.
+    M: SymMatrix, b: Sequence[Fraction] | None = None
+) -> tuple[list[dict[int, int]], list[int], list[tuple[int, int]], list[int]]:
+    """Fraction-free sparse Gaussian elimination of M, doing the same row
+    operations on the right-hand side b (zero when not given).
 
-    A step (r, c) uses row r to clear column c from the other rows. Pivots
-    are nonzero diagonal entries of minimum current row length (ties to the
-    smaller index); on a forest that peels leaves, a perfect elimination
-    order. With no nonzero diagonal left, an entry (r, c) is cleared by the
-    steps (r, c), (c, r): a 2x2 block pivot, after which the remaining rows
-    are symmetric again. Returns the rows, the steps, and the rows left
-    over, which are zero. A pivot row and its rhs entry never change after
-    their step, so back-substitution can replay the steps.
+    Each row i is held as integers, R_i and its right-hand side B_i: row i
+    of M and b_i times the lcm of their denominators. A step (r, c) uses
+    row r, pivot p = R_r[c], to clear column c from each other row i as
+    R_i := (|p|/g) R_i - sgn(p) (R_i[c]/g) R_r with g = gcd(p, R_i[c]); a
+    row so scaled by more than 1 is then divided, with B_i, by its content
+    gcd (fraction-free elimination, Bareiss 1968, with gcds in place of the
+    exact division). Every R_i stays a positive multiple of the row rational
+    elimination would hold, so the zero pattern, the pivot order and the
+    pivot signs are the same.
+
+    Pivots are nonzero diagonal entries of minimum current row length (ties
+    to the smaller index); on a forest that peels leaves, a perfect
+    elimination order. With no nonzero diagonal left, an entry (r, c) is
+    cleared by the steps (r, c), (c, r): a 2x2 block pivot, after which the
+    remaining rows are symmetric again up to positive scaling. Returns the
+    rows, the right-hand sides, the steps, and the rows left over, which are
+    zero. A pivot row and its right-hand side never change after their
+    step, so back-substitution can replay the steps.
     """
     n = M.dimension
-    rows = [dict(row) for row in M._rows]
+    rows: list[dict[int, int]] = []
+    rhs: list[int] = []
+    for row, q in zip(M._rows, [0] * n if b is None else b):
+        scale = lcm(q.denominator, *map(_denominator, row.values()))
+        if scale == 1:
+            rows.append(dict(row))
+        else:
+            rows.append({j: v.numerator * (scale // v.denominator) for j, v in row.items()})
+        rhs.append(q.numerator * (scale // q.denominator))
     active = [True] * n
     steps: list[tuple[int, int]] = []
     heap = sorted((len(row), i) for i, row in enumerate(rows) if i in row)  # a heap
@@ -136,16 +166,28 @@ def _eliminate(
         # are the keys of row c, or of row r for the second half of a pair.
         for i in [i for i in rows[c] if i != r]:
             row = rows[i]
-            f = row.pop(c) / p
+            f = row.pop(c) if p > 0 else -row.pop(c)
+            g = gcd(f, p)
+            scale, f = abs(p) // g, f // g
+            if scale != 1:
+                for j in row:
+                    row[j] *= scale
+                rhs[i] *= scale
             for j, v in pivot_row.items():
                 if j != c:
-                    x = row.get(j, _ZERO) - f * v
+                    x = row.get(j, 0) - f * v
                     if x:
                         row[j] = x
                     else:
                         del row[j]
-            if rhs is not None:
-                rhs[i] -= f * rhs[r]
+            rhs[i] -= f * rhs[r]
+            # An unscaled update costs the length of the pivot row, not of
+            # row i: at a vertex of high degree the scale is soon 1 for
+            # every leaf, as it would be for a common denominator.
+            if scale != 1 and (g := gcd(*row.values(), rhs[i])) > 1:
+                for j in row:
+                    row[j] //= g
+                rhs[i] //= g
             if i in row:
                 heappush(heap, (len(row), i))
 
@@ -165,18 +207,44 @@ def _eliminate(
             c = min(rows[scan])
             step(scan, c)
             step(c, scan)
-    return rows, steps, [i for i in range(n) if active[i]]
+    return rows, rhs, steps, [i for i in range(n) if active[i]]
 
 
-def _back_substitute(rows, steps, rhs: list[Fraction], x: list[Fraction]) -> list[Fraction]:
-    """Set x[c] for each step (r, c), last first; other entries are given."""
+def _back_substitute(
+    rows: list[dict[int, int]], steps, rhs: list[int], x: list[tuple[int, int]]
+) -> list[Fraction]:
+    """Set x[c] for each step (r, c), last first; other entries are given.
+
+    Each x[j] is a (numerator, denominator) pair in lowest terms with a
+    positive denominator, a zero being (0, 1). The sums keep that form with
+    the gcd steps of ``Fraction`` addition, so each Fraction is built once,
+    at the end, without another gcd.
+    """
     for r, c in reversed(steps):
-        s = rhs[r]
-        for j, v in rows[r].items():
-            if j != c:
-                s -= v * x[j]
-        x[c] = s / rows[r][c]
-    return x
+        row = rows[r]
+        sn, sd = rhs[r], 1
+        for j, v in row.items():
+            xn, xd = x[j]
+            if j == c or not xn:
+                continue
+            if xd == 1:
+                sn -= v * xn * sd
+                continue
+            # s -= v x[j]: v x[j] = tn / td in lowest terms, then the
+            # subtraction as Fraction._add does it.
+            g = gcd(v, xd)
+            tn, td = v // g * xn, xd // g
+            g = gcd(sd, td)
+            s = sd // g
+            t = sn * (td // g) - tn * s
+            g2 = gcd(t, g)
+            sn, sd = t // g2, s * (td // g2)
+        p = row[c]
+        if p < 0:
+            sn, p = -sn, -p
+        g = gcd(sn, p)
+        x[c] = (sn // g, sd * (p // g))
+    return [_fraction(num, den) for num, den in x]
 
 
 def solve(M: SymMatrix, b: Sequence[Fraction | int]) -> list[Fraction]:
@@ -187,10 +255,10 @@ def solve(M: SymMatrix, b: Sequence[Fraction | int]) -> list[Fraction]:
     bit-exactly.
     """
     n = M.dimension
-    rhs = [rational(v) for v in b]
-    if len(rhs) != n:
+    b = [rational(v) for v in b]
+    if len(b) != n:
         raise ValueError("right-hand side has wrong length")
-    rows, steps, rest = _eliminate(M, rhs)
+    rows, rhs, steps, rest = _eliminate(M, b)
     # The rows left over are zero; a nonzero rhs there marks inconsistency.
     if any(rhs[i] for i in rest):
         raise SingularMatrix("no solution: b is outside the column space")
@@ -198,7 +266,7 @@ def solve(M: SymMatrix, b: Sequence[Fraction | int]) -> list[Fraction]:
         raise UnderdeterminedSystem(
             f"rank {len(steps)} < {n}: solutions exist but are not unique"
         )
-    return _back_substitute(rows, steps, rhs, [_ZERO] * n)
+    return _back_substitute(rows, steps, rhs, [(0, 1)] * n)
 
 
 def primitive_integer_vector(v: Sequence[Fraction]) -> list[int]:
@@ -243,12 +311,11 @@ def kernel_basis(M: SymMatrix) -> list[list[int]]:
     deterministic and independent of the pivot order.
     """
     n = M.dimension
-    zeros = [_ZERO] * n
-    rows, steps, free = _eliminate(M)
+    rows, zeros, steps, free = _eliminate(M)
     basis = []
     for f in free:
-        x = list(zeros)
-        x[f] = Fraction(1)
+        x = [(0, 1)] * n
+        x[f] = (1, 1)
         basis.append(_back_substitute(rows, steps, zeros, x))
     return [primitive_integer_vector(v) for v in _echelon_from_last_column(basis, n)]
 
@@ -299,7 +366,7 @@ def definiteness(M: SymMatrix) -> Definiteness:
     every pivot is a negative diagonal entry; a 2x2 block pivot has one
     eigenvalue of each sign. The corank is the number of rows left over.
     """
-    rows, steps, rest = _eliminate(M)
+    rows, _, steps, rest = _eliminate(M)
     if any(r != c or rows[r][r] > 0 for r, c in steps):
         return Definiteness(INDEFINITE)
     corank = len(rest)

@@ -117,6 +117,8 @@ def test_classify_requires_complete_vertices():
     g = parse("graph g\nv t ~\n").graph
     with pytest.raises(NoCompleteVertices):
         classify(g)
+    with pytest.raises(NoCompleteVertices):
+        classify_components(g)
 
 
 def test_classify_disconnected_raises_and_components_work():

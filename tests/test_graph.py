@@ -175,8 +175,12 @@ def test_parse_warns_on_disconnected_complete_part():
 
 def test_parse_carries_the_line_of_each_expectation():
     text = "# probe\ngraph g\nv a -2\n\nexpect outcome = SmoothPoint\n"
-    text += "expect codisc a = 1/2  # half\n"
-    assert parse(text).expects == [("outcome", "SmoothPoint", 5), ("codisc a", "1/2", 6)]
+    text += "expect codisc a = 1/2  # half\nexpect outcome = A=B\n"
+    assert parse(text).expects == [
+        ("outcome", "SmoothPoint", 5),
+        ("codisc a", "1/2", 6),
+        ("outcome", "A=B", 7),
+    ]
 
 
 def test_edge_multiplicity_accumulates():

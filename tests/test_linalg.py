@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd, log2
 
 import pytest
 
+from resgraph import linalg
 from resgraph.linalg import (
     INDEFINITE,
     NEGATIVE_DEFINITE,
@@ -30,6 +32,7 @@ from util import (
     permuted,
     psd_by_minors,
     quadratic_form,
+    random_cyclic_graph,
     random_tree_graph,
     sym_matrix,
 )
@@ -211,6 +214,12 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+def _reduced(x) -> bool:
+    """A Fraction whose fields are in lowest terms with a positive
+    denominator: the only form ``==`` and ``hash`` treat correctly."""
+    return type(x) is Fraction and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+
+
 def _agrees_with_dense(m: SymMatrix, rng: random.Random) -> tuple[str, int]:
     """Compare solve, definiteness and kernel_basis with the dense oracles,
     bit for bit; returns the kind of form and the kernel dimension."""
@@ -218,7 +227,10 @@ def _agrees_with_dense(m: SymMatrix, rng: random.Random) -> tuple[str, int]:
     free_rhs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
     x = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
     for b in (free_rhs, apply(m, x)):
-        assert _outcome(solve, m, b) == _outcome(dense_solve, m, b)
+        got = _outcome(solve, m, b)
+        assert got == _outcome(dense_solve, m, b)
+        if isinstance(got, list):
+            assert all(map(_reduced, got))
     res = definiteness(m)
     assert (res.kind, res.corank, res.kernel) == dense_definiteness(m)
     kernel = kernel_basis(m)
@@ -284,3 +296,54 @@ def test_solve_large_tree_and_chain_residuals():
         b = [Fraction(2 + g.vertex(vid).self_int) for vid in order]
         b[0] += 1
         assert apply(m, solve(m, b)) == b
+
+
+def test_kernel_matches_dense_oracle_on_graphs_with_cycles():
+    rng = random.Random(8088)
+    cycles = 0
+    for n in (3, 10, 20, 30, 40, 60):
+        g = random_cyclic_graph(rng, n)
+        cycles += len(g.edges()) - (n - 1)
+        m, _ = g.intersection_matrix()
+        _agrees_with_dense(m, rng)
+        # The integer rows stay within Hadamard's bound on the minors of M,
+        # as Bareiss's exact divisions would keep them: the content gcds
+        # stop the growth that repeated scaling alone would cause.
+        rows, _, _, _ = linalg._eliminate(m)
+        hadamard = sum(log2(sum(x * x for x in m.row(i))) / 2 for i in range(n))
+        assert max(abs(v).bit_length() for row in rows for v in row.values()) <= hadamard
+    assert cycles == 1 + 2 + 3 + 4 + 6
+
+
+def test_kernel_matches_dense_oracle_with_row_scaling_and_block_pivots():
+    """Sparse rational matrices with mostly zero diagonals: rows start with
+    denominators, and elimination runs out of diagonal pivots."""
+    rng = random.Random(5150)
+    scaled = blocks = 0
+    for _ in range(150):
+        n = rng.randint(2, 12)
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < (0.15 if i == j else 2.5 / n):
+                    q = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2, 3, 4, 6]))
+                    rows[i][j] = rows[j][i] = q
+        m = sym_matrix(rows)
+        _agrees_with_dense(m, rng)
+        scaled += any(x.denominator > 1 for row in rows for x in row)
+        _, _, steps, _ = linalg._eliminate(m)
+        blocks += sum(r != c for r, c in steps) // 2
+    assert scaled >= 100 and blocks >= 100
+
+
+def test_entries_are_fractions_whatever_the_storage():
+    m = SymMatrix.from_sparse([{0: -2, 1: 1}, {0: Fraction(1), 1: Fraction(-3, 2)}])
+    assert m._rows == ({0: -2, 1: 1}, {0: 1, 1: Fraction(-3, 2)})
+    assert type(m._rows[0][0]) is int and type(m._rows[1][0]) is int
+    entries = [m[i, j] for i in range(2) for j in range(2)]
+    entries += [x for i in range(2) for x in m.row(i)]
+    assert all(type(x) is Fraction for x in entries)
+    assert m.row(0) == (Fraction(-2), Fraction(1)) and m[1, 1] == Fraction(-3, 2)
+    same = SymMatrix.from_sparse([{0: Fraction(-2), 1: 1}, {0: 1, 1: Fraction(-6, 4)}])
+    assert same == m and hash(same) == hash(m)
+    assert repr(same) == repr(m) == "SymMatrix[-2 1; 1 -3/2]"

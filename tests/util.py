@@ -329,6 +329,19 @@ def random_tree_graph(
     return DualGraph(name, vertices, edges)
 
 
+def random_cyclic_graph(
+    rng: random.Random, size: int, weights=(-5, -6, -7, -8), name: str = "cyclic"
+) -> DualGraph:
+    """A random tree plus size // 10 random extra edges, each between two
+    curves not yet adjacent: a graph with that many independent cycles."""
+    tree = random_tree_graph(rng, size, weights, name)
+    edges = dict(tree.edges())
+    while len(edges) < size - 1 + size // 10:
+        a, b = sorted(f"n{i}" for i in rng.sample(range(size), 2))
+        edges.setdefault((a, b), 1)
+    return DualGraph(name, tree.vertices, edges)
+
+
 def attach_chain(g: DualGraph, anchor: str, length: int, prefix: str = "c") -> DualGraph:
     """Attach a terminal (-2)-chain to a vertex; chain ids prefix0..prefixN
     run from the free end toward the anchor."""
