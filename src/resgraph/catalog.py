@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import fnmatch
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -88,8 +86,7 @@ class Expectation(NamedTuple):
     check: str  # the check name of its record
 
 
-@dataclass
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     graph: DualGraph
     cycles: dict[str, Cycle]
@@ -102,8 +99,7 @@ class CatalogEntry:
         return next((e.value for e in self.expects if e.head == "rejected"), False)
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     entry: str
     check: str
     expected: str
@@ -242,6 +238,9 @@ def _expectation(entry: CatalogEntry, key: str, text: str, line: int) -> Expecta
 
 
 def data_root() -> Path:
+    # Imported here: only the commands that read the packaged catalog need it.
+    from importlib import resources
+
     return Path(resources.files("resgraph") / "data" / "catalog")
 
 

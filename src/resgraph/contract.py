@@ -11,12 +11,11 @@ in a single self-intersection-zero curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .graph import Cycle, DualGraph, Vertex
-from .linalg import Definiteness, definiteness
+from .linalg import Definiteness, Value, definiteness
 
 
 class ContractionError(Exception):
@@ -39,21 +38,21 @@ class DisconnectedGraph(ContractionError):
     pass
 
 
-@dataclass(frozen=True)
-class ADEType:
+class ADEType(Value):
     """A rational-double-point type: family A (n>=1), D (n>=4) or E (6,7,8)."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
+    def __init__(self, family: str, rank: int):
         ok = (
-            (self.family == "A" and self.rank >= 1)
-            or (self.family == "D" and self.rank >= 4)
-            or (self.family == "E" and self.rank in (6, 7, 8))
+            (family == "A" and rank >= 1)
+            or (family == "D" and rank >= 4)
+            or (family == "E" and rank in (6, 7, 8))
         )
         if not ok:
-            raise ValueError(f"no type {self.family}{self.rank}")
+            raise ValueError(f"no type {family}{rank}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
 
     def render(self) -> str:
         return f"{self.family}{self.rank}"
@@ -62,40 +61,49 @@ class ADEType:
         return self.render()
 
 
-class ContractionOutcome:
+class ContractionOutcome(Value):
     """Base class; concrete outcomes below. An outcome renders as its class
     name, except a rational double point, which adds its type."""
+
+    __slots__ = ()
 
     def render(self) -> str:
         return type(self).__name__
 
 
-@dataclass(frozen=True)
 class SmoothPoint(ContractionOutcome):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class DuValPoint(ContractionOutcome):
-    ade: ADEType
+    __slots__ = ("ade",)
+
+    def __init__(self, ade: ADEType):
+        object.__setattr__(self, "ade", ade)
 
     def render(self) -> str:
         return f"DuValPoint({self.ade.render()})"
 
 
-@dataclass(frozen=True)
 class RationalPoint(ContractionOutcome):
-    residual: DualGraph
+    __slots__ = ("residual",)
+
+    def __init__(self, residual: DualGraph):
+        object.__setattr__(self, "residual", residual)
 
 
-@dataclass(frozen=True)
 class CurveFiber(ContractionOutcome):
-    fiber: Cycle
+    __slots__ = ("fiber",)
+
+    def __init__(self, fiber: Cycle):
+        object.__setattr__(self, "fiber", fiber)
 
 
-@dataclass(frozen=True)
 class NotContractible(ContractionOutcome):
-    reason: str
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        object.__setattr__(self, "reason", reason)
 
 
 def blow_down_once(g: DualGraph, vid: str) -> DualGraph:

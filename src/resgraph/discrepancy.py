@@ -13,9 +13,8 @@ bit-for-bit or the configuration is wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .graph import Cycle, DualGraph, cycle_dot
 from .linalg import LinAlgError, definiteness, rational, solve
@@ -45,8 +44,7 @@ class UnsupportedTail(DiscrepancyError):
     pass
 
 
-@dataclass
-class CodiscrepancyResult:
+class CodiscrepancyResult(NamedTuple):
     """Solved codiscrepancies plus the two flags every filter needs."""
 
     values: dict[str, Fraction]
@@ -81,7 +79,7 @@ def _solve_subset(
     matrix, order = g.intersection_matrix(unknowns)
     rhs = []
     for vid in order:
-        c = Fraction(2 + g.vertex(vid).self_int if canonical else 0)
+        c = 2 + g.vertex(vid).self_int if canonical else 0
         for other, mult in g.neighbors(vid):
             if other in known:
                 c -= mult * known[other]

@@ -12,12 +12,11 @@ computation is pure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .linalg import SymMatrix, format_rational, rational
+from .linalg import SymMatrix, Value, format_rational, rational
 
 
 class GraphError(Exception):
@@ -59,8 +58,7 @@ class VertexKind(Enum):
     TRANSVERSAL = "tra"
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     id: str
     kind: VertexKind
     self_int: int | None
@@ -233,15 +231,14 @@ class DualGraph:
 _ZERO = Fraction(0)  # shared: a Fraction is immutable
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Value):
     """A formal rational combination of vertices; ids absent from the map
     have coefficient zero."""
 
-    coefficients: Mapping[str, Fraction] = field(default_factory=dict)
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        clean = {k: rational(v) for k, v in self.coefficients.items() if rational(v) != 0}
+    def __init__(self, coefficients: Mapping[str, Fraction] | None = None):
+        clean = {k: q for k, v in (coefficients or {}).items() if (q := rational(v))}
         object.__setattr__(self, "coefficients", clean)
 
     def coeff(self, vid: str) -> Fraction:
@@ -276,8 +273,7 @@ def cycle_dot(g: DualGraph, z: Cycle, vid: str) -> Fraction:
 # -- text format -----------------------------------------------------------
 
 
-@dataclass
-class ParseResult:
+class ParseResult(NamedTuple):
     graph: DualGraph
     cycles: dict[str, Cycle]
     expects: list[tuple[str, str, int]]  # (key, value, line number), as written

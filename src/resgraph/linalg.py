@@ -8,6 +8,9 @@ are immutable, safe to share, and stored sparsely, integral entries as
 fraction-free elimination kernel on integer rows, whose minimum-degree pivot
 order peels leaves on a forest (which resolution graphs almost always are):
 no fill-in, short integers, time linear in the size.
+
+``Value``, the base of the package's immutable value classes, lives here
+because this is the module every other one imports.
 """
 
 from __future__ import annotations
@@ -38,6 +41,40 @@ class SingularMatrix(LinAlgError):
 
 class UnderdeterminedSystem(LinAlgError):
     """The system M x = b is solvable but the solution is not unique."""
+
+
+class Value:
+    """Base of resgraph's immutable value classes.
+
+    A subclass names its fields, in order, as its own ``__slots__`` and sets
+    them in ``__init__`` with ``object.__setattr__``. It then compares equal
+    only to an instance of the same class with equal fields, hashes its
+    fields (a TypeError when one is unhashable), has the repr
+    ``Name(field=value, ...)``, and raises AttributeError on any assignment.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def rational(value) -> Fraction:
@@ -119,7 +156,7 @@ class SymMatrix:
 
 
 def _eliminate(
-    M: SymMatrix, b: Sequence[Fraction] | None = None
+    M: SymMatrix, b: Sequence[Fraction | int] | None = None
 ) -> tuple[list[dict[int, int]], list[int], list[tuple[int, int]], list[int]]:
     """Fraction-free sparse Gaussian elimination of M, doing the same row
     operations on the right-hand side b (zero when not given).
@@ -255,7 +292,7 @@ def solve(M: SymMatrix, b: Sequence[Fraction | int]) -> list[Fraction]:
     bit-exactly.
     """
     n = M.dimension
-    b = [rational(v) for v in b]
+    b = [v if isinstance(v, int) else rational(v) for v in b]
     if len(b) != n:
         raise ValueError("right-hand side has wrong length")
     rows, rhs, steps, rest = _eliminate(M, b)

@@ -10,22 +10,20 @@ cross-check them against solved codiscrepancies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-from .linalg import rational
+from .linalg import Value, rational
 
 
-@dataclass(frozen=True)
-class WeightedProjectiveSpace:
-    weights: tuple[int, ...]
+class WeightedProjectiveSpace(Value):
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        if not self.weights or any(w < 1 for w in self.weights):
+    def __init__(self, weights: tuple[int, ...]):
+        if not weights or any(w < 1 for w in weights):
             raise ValueError("weights must be positive integers")
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(int(w) for w in weights))
 
     @property
     def weight_product(self) -> int:
@@ -36,20 +34,20 @@ class WeightedProjectiveSpace:
         return sum(self.weights)
 
 
-@dataclass(frozen=True)
-class CICurve:
+class CICurve(Value):
     """A complete-intersection curve class: n-2 hypersurface degrees in an
     n-weight space."""
 
-    ambient: WeightedProjectiveSpace
-    degrees: tuple[int, ...]
+    __slots__ = ("ambient", "degrees")
 
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
-        if len(self.degrees) != len(self.ambient.weights) - 2:
+    def __init__(self, ambient: WeightedProjectiveSpace, degrees: tuple[int, ...]):
+        degrees = tuple(int(d) for d in degrees)
+        if len(degrees) != len(ambient.weights) - 2:
             raise ValueError("a curve needs exactly n-2 hypersurface degrees")
-        if any(d < 1 for d in self.degrees):
+        if any(d < 1 for d in degrees):
             raise ValueError("degrees must be positive integers")
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "degrees", degrees)
 
 
 def pair(curve: CICurve, k: int) -> Fraction:
