@@ -77,12 +77,16 @@ def _solve_subset(
     if not unknowns:
         return {}
     matrix, order = g.intersection_matrix(unknowns)
+    # intersection_matrix checked every id, so the graph's maps are read
+    # directly
+    by_id, adjacency = g._by_id, g._adjacency
     rhs = []
     for vid in order:
-        c = 2 + g.vertex(vid).self_int if canonical else 0
-        for other, mult in g.neighbors(vid):
-            if other in known:
-                c -= mult * known[other]
+        c = 2 + by_id[vid].self_int if canonical else 0
+        if known:
+            for other, mult in adjacency[vid]:
+                if other in known:
+                    c -= mult * known[other]
         rhs.append(c)
     try:
         return dict(zip(order, solve(matrix, rhs)))

@@ -5,8 +5,10 @@ A vertex is a curve: ``exc`` (a complete exceptional curve, drawn as a
 circle), ``cen`` (a distinguished complete central curve, drawn filled), or
 ``tra`` (a non-complete transversal germ, which carries no self-intersection
 number). Edges carry positive integer multiplicities; graphs have no
-self-loops. Graphs are immutable after construction, so every derived
-computation is pure.
+self-loops. ``DualGraph`` checks once, when it is built, that every
+self-intersection and multiplicity is an ``int`` (not a ``bool``); the
+intersection matrices and solves built on a graph trust that. Graphs are
+immutable after construction, so every derived computation is pure.
 """
 
 from __future__ import annotations
@@ -97,21 +99,25 @@ class DualGraph:
         self.name = name
         self.vertices = tuple(vertices)
         by_id: dict[str, Vertex] = {}
+        id_ok = _ID_TOKEN.fullmatch
         for v in self.vertices:
-            _check_token(_ID_TOKEN, "vertex id", v.id)
+            vid = v.id
+            if not (isinstance(vid, str) and id_ok(vid)):
+                raise BadToken(f"vertex id {vid!r} cannot be written in the text format")
             if v.label is not None:
                 _check_token(_NAME_TOKEN, "label", v.label)
-            if v.id in by_id:
-                raise DuplicateId(f"duplicate vertex id {v.id!r}")
+            if vid in by_id:
+                raise DuplicateId(f"duplicate vertex id {vid!r}")
             if v.kind is VertexKind.TRANSVERSAL:
                 if v.self_int is not None:
                     raise SelfIntOnTransversal(
-                        f"transversal vertex {v.id!r} cannot carry a self-intersection"
+                        f"transversal vertex {vid!r} cannot carry a self-intersection"
                     )
-            else:
-                if v.self_int is None:
-                    raise GraphError(f"complete vertex {v.id!r} needs a self-intersection")
-            by_id[v.id] = v
+            elif type(v.self_int) is not int:
+                raise GraphError(
+                    f"complete vertex {vid!r} needs an int self-intersection, not {v.self_int!r}"
+                )
+            by_id[vid] = v
         self._by_id = by_id
 
         table: dict[tuple[str, str], int] = {}
@@ -119,12 +125,13 @@ class DualGraph:
         for (a, b), mult in items:
             if a == b:
                 raise GraphError(f"self-loop at {a!r}")
-            for x in (a, b):
-                if x not in by_id:
-                    raise UnknownVertex(f"edge endpoint {x!r} is not a vertex")
-            if mult <= 0:
-                raise GraphError("edge multiplicity must be positive")
-            key = _edge_key(a, b)
+            if a not in by_id:
+                raise UnknownVertex(f"edge endpoint {a!r} is not a vertex")
+            if b not in by_id:
+                raise UnknownVertex(f"edge endpoint {b!r} is not a vertex")
+            if type(mult) is not int or mult <= 0:
+                raise GraphError(f"edge multiplicity must be a positive int, not {mult!r}")
+            key = (a, b) if a <= b else (b, a)
             table[key] = table.get(key, 0) + mult
         self._edges = dict(sorted(table.items()))
 
@@ -146,7 +153,8 @@ class DualGraph:
         return [v.id for v in self.vertices]
 
     def complete_ids(self) -> list[str]:
-        return [v.id for v in self.vertices if v.complete]
+        # __init__ gives a self-intersection to exactly the complete vertices
+        return [v.id for v in self.vertices if v.self_int is not None]
 
     def exceptional_ids(self) -> list[str]:
         return [v.id for v in self.vertices if v.kind is VertexKind.EXCEPTIONAL]
@@ -168,24 +176,25 @@ class DualGraph:
     def components(self, subset: Iterable[str] | None = None) -> list[set[str]]:
         """Connected components of the subgraph induced on subset (all
         vertices by default), as sets of ids sorted by smallest member."""
-        pool = set(self.ids() if subset is None else subset)
-        for vid in pool:
-            self.vertex(vid)
+        pool = set(self._by_id if subset is None else subset)
+        if not pool <= self._by_id.keys():
+            raise UnknownVertex(f"no vertex {min(pool - self._by_id.keys())!r}")
         comps: list[set[str]] = []
-        remaining = set(pool)
-        while remaining:
-            start = min(remaining)
+        while pool:
+            # the smallest id left opens the next component, so the
+            # components come out sorted by smallest member
+            start = min(pool)
+            pool.remove(start)
             comp = {start}
             frontier = [start]
             while frontier:
-                cur = frontier.pop()
-                for other, _ in self._adjacency[cur]:
-                    if other in remaining and other not in comp:
+                for other, _ in self._adjacency[frontier.pop()]:
+                    if other in pool:
+                        pool.remove(other)
                         comp.add(other)
                         frontier.append(other)
             comps.append(comp)
-            remaining -= comp
-        return sorted(comps, key=min)
+        return comps
 
     def __eq__(self, other) -> bool:
         return (
@@ -206,19 +215,28 @@ class DualGraph:
         multiplicities. Returns the matrix plus the vertex order used; the
         cost is linear in the subset size plus its edges."""
         order = list(self.complete_ids() if subset is None else subset)
-        for vid in order:
-            v = self.vertex(vid)
-            if not v.complete:
-                raise TransversalInSubset(f"{vid!r} is transversal")
+        by_id, adjacency = self._by_id, self._adjacency
         index = {vid: i for i, vid in enumerate(order)}
+        # __init__ checked that every self-intersection and multiplicity is
+        # an int, and the adjacency is symmetric: the rows need none of the
+        # checks and conversions of from_sparse
+        rows = []
+        for i, vid in enumerate(order):
+            v = by_id.get(vid)
+            if v is None:
+                raise UnknownVertex(f"no vertex {vid!r}")
+            if v.self_int is None:
+                raise TransversalInSubset(f"{vid!r} is transversal")
+            row = {}
+            for w, mult in adjacency[vid]:
+                if w in index:
+                    row[index[w]] = mult
+            if v.self_int:
+                row[i] = v.self_int
+            rows.append(row)
         if len(index) != len(order):
             raise GraphError("subset contains repeated ids")
-        rows = []
-        for vid in order:
-            row = {index[w]: mult for w, mult in self._adjacency[vid] if w in index}
-            row[index[vid]] = self._by_id[vid].self_int
-            rows.append(row)
-        return SymMatrix.from_sparse(rows), order
+        return SymMatrix._of_rows(tuple(rows), True), order
 
     def _int_view(self, ids: Iterable[str]) -> tuple[dict, dict[str, dict[str, int]]]:
         """Mutable plain copies of the self-intersections of the given
@@ -451,13 +469,23 @@ def serialize(
 ) -> str:
     """Render a graph (plus optional cycles and expectations) in the text
     format: vertices in input order, edges sorted lexicographically, cycles
-    sorted by name. parse(serialize(...)) reproduces the same graph."""
+    sorted by name. parse(serialize(...)) reproduces the same graph.
+
+    The format holds a complete curve of self-intersection -1 or less only
+    (``parse`` rejects any other), so a graph with one, a fiber residual
+    say, raises GraphError.
+    """
     out = [f"graph {g.name}"]
     for v in g.vertices:
         bits = ["v", v.id]
         if v.kind is VertexKind.TRANSVERSAL:
             bits.append("~")
             bits.append("tra")
+        elif v.self_int > -1:
+            raise GraphError(
+                f"complete vertex {v.id!r} has self-intersection {v.self_int}, "
+                "which the text format cannot hold"
+            )
         else:
             bits.append(str(v.self_int))
             if v.kind is VertexKind.CENTRAL:

@@ -109,7 +109,7 @@ class SymMatrix:
     is stored as an ``int`` and any other as a ``Fraction``; indexing,
     ``row`` and ``repr`` always give Fractions."""
 
-    __slots__ = ("dimension", "_rows")
+    __slots__ = ("dimension", "_rows", "_integral")
 
     @classmethod
     def from_sparse(cls, rows: Sequence[Mapping[int, Fraction | int]]) -> "SymMatrix":
@@ -129,8 +129,15 @@ class SymMatrix:
                     raise ValueError(f"column {j} out of range in row {i}")
                 if (y := table[j].get(i)) is not x and y != x:
                     raise ValueError(f"matrix is not symmetric at ({i},{j})")
+        return cls._of_rows(table, all(type(q) is int for q in exact.values()))
+
+    @classmethod
+    def _of_rows(cls, rows: tuple[dict[int, Fraction | int], ...], integral: bool) -> "SymMatrix":
+        """Wrap rows already in storage form, unchecked and uncopied: the
+        caller guarantees they are symmetric, in range and hold no zero,
+        that integral entries are ints, and whether every entry is one."""
         matrix = cls.__new__(cls)
-        matrix.dimension, matrix._rows = n, table
+        matrix.dimension, matrix._rows, matrix._integral = len(rows), rows, integral
         return matrix
 
     def __getitem__(self, key) -> Fraction:
@@ -162,7 +169,9 @@ def _eliminate(
     operations on the right-hand side b (zero when not given).
 
     Each row i is held as integers, R_i and its right-hand side B_i: row i
-    of M and b_i times the lcm of their denominators. A step (r, c) uses
+    of M and b_i times the lcm of their denominators. When M and b are
+    integral (an intersection form and a canonical right-hand side are),
+    every lcm is 1 and the rows are copied as they are. A step (r, c) uses
     row r, pivot p = R_r[c], to clear column c from each other row i as
     R_i := (|p|/g) R_i - sgn(p) (R_i[c]/g) R_r with g = gcd(p, R_i[c]); a
     row so scaled by more than 1 is then divided, with B_i, by its content
@@ -181,15 +190,17 @@ def _eliminate(
     step, so back-substitution can replay the steps.
     """
     n = M.dimension
-    rows: list[dict[int, int]] = []
-    rhs: list[int] = []
-    for row, q in zip(M._rows, [0] * n if b is None else b):
-        scale = lcm(q.denominator, *map(_denominator, row.values()))
-        if scale == 1:
-            rows.append(dict(row))
-        else:
+    if b is None:
+        b = [0] * n
+    if M._integral and all(type(q) is int for q in b):
+        rows = [dict(row) for row in M._rows]
+        rhs = list(b)
+    else:
+        rows, rhs = [], []
+        for row, q in zip(M._rows, b):
+            scale = lcm(q.denominator, *map(_denominator, row.values()))
             rows.append({j: v.numerator * (scale // v.denominator) for j, v in row.items()})
-        rhs.append(q.numerator * (scale // q.denominator))
+            rhs.append(q.numerator * (scale // q.denominator))
     active = [True] * n
     steps: list[tuple[int, int]] = []
     heap = sorted((len(row), i) for i, row in enumerate(rows) if i in row)  # a heap
@@ -199,25 +210,30 @@ def _eliminate(
         p = pivot_row[c]
         active[r] = False
         steps.append((r, c))
+        others = [(j, v) for j, v in pivot_row.items() if j != c]
+        negative, size, b_r = p < 0, abs(p), rhs[r]
         # The remaining rows with an entry in column c: by symmetry these
         # are the keys of row c, or of row r for the second half of a pair.
-        for i in [i for i in rows[c] if i != r]:
+        # No step changes row c while it runs: row c has no entry in
+        # column c unless c is r, the pivot row.
+        for i in rows[c]:
+            if i == r:
+                continue
             row = rows[i]
-            f = row.pop(c) if p > 0 else -row.pop(c)
-            g = gcd(f, p)
-            scale, f = abs(p) // g, f // g
+            f = -row.pop(c) if negative else row.pop(c)
+            g = gcd(f, size)
+            scale, f = size // g, f // g
             if scale != 1:
                 for j in row:
                     row[j] *= scale
                 rhs[i] *= scale
-            for j, v in pivot_row.items():
-                if j != c:
-                    x = row.get(j, 0) - f * v
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-            rhs[i] -= f * rhs[r]
+            for j, v in others:
+                x = row.get(j, 0) - f * v
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            rhs[i] -= f * b_r
             # An unscaled update costs the length of the pivot row, not of
             # row i: at a vertex of high degree the scale is soon 1 for
             # every leaf, as it would be for a common denominator.

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from resgraph import discrepancy, graph, linalg
 from resgraph.catalog import load_catalog
 from resgraph.discrepancy import (
     DiscrepancyError,
@@ -23,7 +24,7 @@ from resgraph.discrepancy import (
     pinned_consistent,
 )
 from resgraph.graph import Cycle, DualGraph, Vertex, VertexKind, ade_graph, cycle_dot, parse
-from resgraph.linalg import definiteness
+from resgraph.linalg import definiteness, rational, solve
 from util import (
     attach_chain,
     attach_fork_tail,
@@ -507,3 +508,20 @@ def test_subset_solves_raise_singular_on_a_fiber():
             pinned_codiscrepancies(g, {}, fiber)
         with pytest.raises(SingularConfiguration):
             mumford_pullback(g, Cycle({}), fiber)
+
+
+def test_an_integral_graph_is_solved_without_coercing_a_number(monkeypatch):
+    calls = []
+
+    def counting_rational(value):
+        calls.append(value)
+        return rational(value)
+
+    for module in (linalg, graph, discrepancy):
+        monkeypatch.setattr(module, "rational", counting_rational)
+    g = point_blowups(random.Random(8), DualGraph("smooth", [], {}), 60)
+    m, _ = g.intersection_matrix()
+    result = codiscrepancies(g)
+    assert calls == [] and len(result.values) == 60
+    solve(m, [F(1, 2)] * m.dimension)  # the counter is live
+    assert calls

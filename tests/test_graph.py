@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from resgraph.catalog import data_root, load_catalog
+from resgraph.contract import contract_minus_ones
 from resgraph.graph import (
     BadToken,
     Cycle,
@@ -21,7 +22,15 @@ from resgraph.graph import (
     parse,
     serialize,
 )
-from util import cycle_pairing, dense_rows, scaled
+from resgraph.linalg import SymMatrix
+from util import (
+    cycle_pairing,
+    dense_rows,
+    point_blowups,
+    random_cyclic_graph,
+    random_tree_graph,
+    scaled,
+)
 
 
 def test_parse_single_central_vertex():
@@ -168,6 +177,29 @@ def test_parse_rejects_nonnegative_self_int():
         parse("graph g\nv a 0\n")
 
 
+def test_serialize_refuses_a_complete_curve_parse_would_reject():
+    residual = contract_minus_ones(parse("graph g\nv a -1\nv b -1\ne a b\n").graph)
+    assert residual.vertex("b").self_int == 0
+    with pytest.raises(GraphError, match="'b' has self-intersection 0"):
+        serialize(residual)
+
+
+# each was accepted before the check: "-1" then failed in classify with a
+# TypeError, -3/2 classified as a rational point and serialized to a line
+# parse rejects, and True counted as 1
+@pytest.mark.parametrize("self_int", ["-1", Fraction(-3, 2), Fraction(-2), True, -2.0])
+def test_dual_graph_rejects_a_self_intersection_that_is_not_an_int(self_int):
+    with pytest.raises(GraphError, match="needs an int self-intersection"):
+        DualGraph("g", [Vertex("a", VertexKind.EXCEPTIONAL, self_int)], {})
+
+
+@pytest.mark.parametrize("mult", [Fraction(3, 2), Fraction(1), True, 1.0, "1", 0, -1])
+def test_dual_graph_rejects_an_edge_multiplicity_that_is_not_a_positive_int(mult):
+    vertices = [Vertex(v, VertexKind.EXCEPTIONAL, -2) for v in "ab"]
+    with pytest.raises(GraphError, match="edge multiplicity must be a positive int"):
+        DualGraph("g", vertices, {("a", "b"): mult})
+
+
 def test_parse_warns_on_disconnected_complete_part():
     result = parse("graph g\nv a -2\nv b -2\n")
     assert result.warnings
@@ -207,6 +239,60 @@ def test_intersection_matrix_rejects_transversal():
         g.intersection_matrix(["a", "t"])
     m, _ = g.intersection_matrix()
     assert m.dimension == 1  # transversal excluded from the default subset
+
+
+def _decorated(g: DualGraph, rng: random.Random) -> DualGraph:
+    """g plus a transversal germ t (m=2), a 0-curve z (m=3) and one of its
+    edges doubled."""
+    ids = g.ids()
+    vertices = list(g.vertices) + [
+        Vertex("t", VertexKind.TRANSVERSAL, None),
+        Vertex("z", VertexKind.EXCEPTIONAL, 0),
+    ]
+    edges = dict(g.edges())
+    edges[rng.choice(list(edges))] += 1
+    edges[(rng.choice(ids), "t")] = 2
+    edges[(rng.choice(ids), "z")] = 3
+    return DualGraph(g.name, vertices, edges)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_intersection_matrix_equals_the_checked_constructor(seed):
+    rng = random.Random(seed)
+    bases = [
+        random_tree_graph(rng, 30),
+        random_cyclic_graph(rng, 30),
+        point_blowups(rng, ade_graph("D", 5), 20),
+    ]
+    for g in (_decorated(base, rng) for base in bases):
+        complete = g.complete_ids()
+        assert "t" not in complete and "z" in complete
+        for subset in (None, rng.sample(complete, len(complete)), rng.sample(complete, 12)):
+            m, order = g.intersection_matrix(subset)
+            assert order == (complete if subset is None else subset)
+            expected = SymMatrix.from_sparse([
+                {j: g.vertex(a).self_int if a == b else g.multiplicity(a, b)
+                 for j, b in enumerate(order)}
+                for a in order
+            ])
+            assert m == expected and m._integral and expected._integral
+            assert dense_rows(m) == dense_rows(expected)
+            assert all(type(x) is int for row in m._rows for x in row.values())
+            if "z" in order:
+                z = order.index("z")
+                assert z not in m._rows[z] and m[z, z] == 0
+        with pytest.raises(TransversalInSubset):
+            g.intersection_matrix(complete[:3] + ["t"])
+
+
+def test_intersection_matrix_rejects_unknown_and_repeated_ids():
+    g = parse("graph g\nv a -2\nv b -2\ne a b\n").graph
+    with pytest.raises(UnknownVertex, match="no vertex 'q'"):
+        g.intersection_matrix(["a", "q"])
+    with pytest.raises(UnknownVertex):
+        g.intersection_matrix(["a", "a", "q"])  # an unknown id is named first
+    with pytest.raises(GraphError, match="repeated"):
+        g.intersection_matrix(["a", "b", "a"])
 
 
 def test_intersection_matrix_offdiagonal_nonnegative_on_catalog():
@@ -340,3 +426,7 @@ def test_components():
     g = parse("graph g\nv a -2\nv b -2\nv c -2\ne a b\n").graph
     comps = g.components()
     assert comps == [{"a", "b"}, {"c"}]
+    assert g.components(["c", "b"]) == [{"b"}, {"c"}]
+    assert g.components([]) == []
+    with pytest.raises(UnknownVertex, match="no vertex 'q'"):
+        g.components(["c", "q", "a"])

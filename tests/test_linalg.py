@@ -30,6 +30,7 @@ from util import (
     negated,
     pd_by_leading_minors,
     permuted,
+    point_blowups,
     psd_by_minors,
     quadratic_form,
     random_cyclic_graph,
@@ -287,6 +288,39 @@ def test_sparse_kernel_matches_dense_oracle_on_graphs():
         m, _ = g.intersection_matrix()
         kinds.add(_agrees_with_dense(m, rng)[0])
     assert kinds == {NEGATIVE_DEFINITE, NEGATIVE_SEMIDEFINITE, INDEFINITE}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solvers_are_bit_identical_whichever_constructor_and_rhs_type(seed):
+    # intersection_matrix hands int rows to the kernel as they are; from_sparse
+    # of the same dense entries checks and converts them, and Fractions in b
+    # take the scaling load
+    rng = random.Random(seed)
+    fiber = DualGraph("fiber", [Vertex("f", VertexKind.EXCEPTIONAL, 0)], {})
+    graphs = [
+        random_tree_graph(rng, 40),
+        random_cyclic_graph(rng, 40),
+        point_blowups(rng, DualGraph("smooth", [], {}), 25),
+        point_blowups(rng, fiber, 25),
+        point_blowups(rng, ade_graph("E", 7), 10),
+    ]
+    kinds = set()
+    for g in graphs:
+        m, _ = g.intersection_matrix()
+        checked = sym_matrix(dense_rows(m))
+        assert checked == m
+        b = [rng.randint(-4, 4) for _ in range(m.dimension)]
+        rhs = (b, [Fraction(x) for x in b])
+        results = [_outcome(solve, M, v) for M in (m, checked) for v in rhs]
+        assert all(r == results[0] for r in results)
+        if isinstance(results[0], list):
+            assert all(type(x) is Fraction for x in results[0])
+        found = [definiteness(M) for M in (m, checked)]
+        assert found[0].kind == found[1].kind and found[0].corank == found[1].corank
+        assert found[0].kernel == found[1].kernel
+        assert kernel_basis(m) == kernel_basis(checked)
+        kinds.add(found[0].kind)
+    assert NEGATIVE_DEFINITE in kinds and NEGATIVE_SEMIDEFINITE in kinds
 
 
 def test_solve_large_tree_and_chain_residuals():
