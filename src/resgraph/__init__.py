@@ -13,29 +13,24 @@ from .contract import (
     SmoothPoint,
     blow_down_once,
     classify,
-    classify_components,
     contract_minus_ones,
     recognize_duval,
 )
 from .discrepancy import (
     CodiscrepancyResult,
-    chain_codiscrepancy_check,
     codiscrepancies,
     denominator_filter,
-    fork_codiscrepancy_check,
     fundamental_cycle,
     implied_tail_start,
     mumford_pullback,
     numerically_trivial,
     pinned_codiscrepancies,
-    pinned_consistent,
 )
 from .graph import (
     Cycle,
     DualGraph,
     Vertex,
     VertexKind,
-    ade_graph,
     cycle_dot,
     parse,
     serialize,
@@ -85,18 +80,14 @@ __all__ = [
     "Vertex",
     "VertexKind",
     "WeightedProjectiveSpace",
-    "ade_graph",
     "blow_down_once",
     "cdisc_from_blowup",
-    "chain_codiscrepancy_check",
     "classify",
-    "classify_components",
     "codiscrepancies",
     "contract_minus_ones",
     "cycle_dot",
     "definiteness",
     "denominator_filter",
-    "fork_codiscrepancy_check",
     "format_rational",
     "fundamental_cycle",
     "implied_tail_start",
@@ -106,7 +97,6 @@ __all__ = [
     "pair",
     "parse",
     "pinned_codiscrepancies",
-    "pinned_consistent",
     "rational",
     "recognize_duval",
     "serialize",

@@ -36,10 +36,9 @@ from .discrepancy import (
     implied_tail_start,
     mumford_pullback,
     numerically_trivial,
-    pinned_consistent,
 )
 from .graph import Cycle, DualGraph, GraphError, parse
-from .linalg import LinAlgError, format_rational, rational
+from .linalg import Definiteness, LinAlgError, format_rational, rational
 from .wps import cdisc_from_blowup
 
 ROLE_TAIL_ROOT = "tail-root"
@@ -172,8 +171,7 @@ class ExpectKey(NamedTuple):
 
 EXPECT_KEYS: dict[str, ExpectKey] = {
     "outcome": ExpectKey("classify", None, _text, lambda c, e: (e.value, c.outcome)),
-    "definiteness": ExpectKey("classify", None, _text,
-                              lambda c, e: (e.value, complete_definiteness(c.g))),
+    "definiteness": ExpectKey("classify", None, _text, lambda c, e: (e.value, c.form)),
     "fiber_cycle": ExpectKey("classify", None, _cycle,
                              lambda c, e: (e.value, getattr(c.outcome, "fiber", c.outcome))),
     "contracts_to_zero_curve": ExpectKey("classify", None, _flag,
@@ -190,13 +188,12 @@ EXPECT_KEYS: dict[str, ExpectKey] = {
         lambda c, e: (cdisc_from_blowup(*e.value), c.codisc.values.get(e.arg)),
         reported_as="blowup_codisc",
     ),
-    "pinned_consistent": ExpectKey("codisc", None, _flag,
-                                   lambda c, e: (e.value, pinned_consistent(c.g, c.pins())),
-                                   reads="pinned"),
+    "pinned_consistent": ExpectKey("codisc", None, _flag, lambda c, e: (
+        e.value, all(c.codisc.values.get(k) == v for k, v in c.pins().items())
+    ), reads="pinned"),
     "implied_tail_start": ExpectKey("codisc", None, _rational,
                                     lambda c, e: (e.value, c.implied_start()), reads="pinned"),
-    "pullback": ExpectKey("pullback", "cycle", _cycle,
-                          lambda c, e: (e.value, mumford_pullback(c.g, c.entry.cycles[e.arg]))),
+    "pullback": ExpectKey("pullback", "cycle", _cycle, lambda c, e: (e.value, c.pullback(e.arg))),
     "trivial": ExpectKey("triviality", "cycle", _flag,
                          lambda c, e: (e.value, numerically_trivial(c.g, c.entry.cycles[e.arg]))),
     "rational": ExpectKey(None, None, _flag, lambda c, e: (e.value, all_components_rational(c.g))),
@@ -214,6 +211,8 @@ def _render(value) -> str:
         return format_rational(value)
     if value is None:
         return "absent"
+    if isinstance(value, Exception):
+        return f"error: {value}"
     return value if isinstance(value, str) else value.render()  # a cycle, outcome or form
 
 
@@ -288,23 +287,37 @@ LIBRARY_ERRORS = (CatalogError, ContractionError, DiscrepancyError, GraphError, 
 
 
 class EntryChecker:
-    """Evaluates one entry's expectations with shared cached solves."""
+    """The one owner of each result computed for an entry: its
+    classification, intersection form, codiscrepancy solve and the pullback
+    of each named cycle, each computed at most once. The CLI commands print
+    these results, and the entry's expectations are checked against them."""
 
     def __init__(self, entry: CatalogEntry):
         self.entry = entry
         self.g = entry.graph
+        self._pullbacks: dict[str, Cycle] = {}
 
     @cached_property
     def codisc(self) -> CodiscrepancyResult:
         return codiscrepancies(self.g)
 
     @cached_property
-    def outcome(self) -> ContractionOutcome | str:
-        """What ``classify`` returns, or the text of its ContractionError."""
+    def outcome(self) -> ContractionOutcome | ContractionError:
+        """What ``classify`` returns, or the ContractionError it raises."""
         try:
             return classify(self.g)
         except ContractionError as exc:
-            return f"error: {exc}"
+            return exc
+
+    @cached_property
+    def form(self) -> Definiteness:
+        return complete_definiteness(self.g)
+
+    def pullback(self, name: str) -> Cycle:
+        """The numerical pullback of the named cycle onto every complete curve."""
+        if name not in self._pullbacks:
+            self._pullbacks[name] = mumford_pullback(self.g, self.entry.cycles[name])
+        return self._pullbacks[name]
 
     def pins(self) -> dict[str, Fraction]:
         pinned = self.entry.cycles.get("pinned")

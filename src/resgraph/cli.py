@@ -25,7 +25,7 @@ from .catalog import (
     records_to_table,
     verify_catalog,
 )
-from .contract import ContractionError, CurveFiber, classify, complete_definiteness
+from .contract import ContractionError, CurveFiber
 from .discrepancy import DiscrepancyError, EmptySubset, codiscrepancies, mumford_pullback
 from .graph import GraphError, cycle_dot
 from .linalg import format_rational, rational
@@ -97,21 +97,29 @@ def _input_error(message: str) -> int:
 
 
 def cmd_classify(args) -> int:
-    entry = _load(args.file)
+    checker = EntryChecker(_load(args.file))
     report = _Report(["classify", args.file])
-    outcome = classify(entry.graph)
+    outcome = checker.outcome
+    if isinstance(outcome, ContractionError):
+        raise outcome
     report.say(f"outcome: {outcome.render()}")
-    report.say(f"definiteness: {complete_definiteness(entry.graph).render()}")
+    report.say(f"definiteness: {checker.form.render()}")
     if isinstance(outcome, CurveFiber):
         report.say(f"fiber cycle: {outcome.fiber.render()}")
-    report.checks.extend(EntryChecker(entry).run_all("classify"))
+    report.checks.extend(checker.run_all("classify"))
     return report.finish(args.json)
 
 
 def cmd_codisc(args) -> int:
     entry = _load(args.file)
+    checker = EntryChecker(entry)
     report = _Report(["codisc", args.file])
-    result = codiscrepancies(entry.graph, include_central=args.include_central)
+    # the stated expectations refer to the default system, which the
+    # checker solves; --include-central is a second system
+    if args.include_central:
+        result = codiscrepancies(entry.graph, include_central=True)
+    else:
+        result = checker.codisc
     if not result.values:
         curves = "complete" if args.include_central else "exceptional"
         raise EmptySubset(f"no {curves} curve to solve for")
@@ -119,8 +127,6 @@ def cmd_codisc(args) -> int:
         report.say(f"{vid} = {format_rational(result.values[vid])}")
     report.say(f"all_nonnegative: {str(result.all_nonnegative).lower()}")
     report.say(f"max_denominator: {result.max_denominator}")
-
-    checker = EntryChecker(entry)
     report.checks.extend(checker.run_all("codisc"))
     if not report.failed and entry.rejection_stated:
         start = checker.negative_tail_start()
@@ -135,13 +141,14 @@ def cmd_pullback(args) -> int:
     report = _Report(["pullback", args.file])
     if args.attached not in entry.cycles:
         raise CatalogError(f"no cycle named {args.attached!r} in {args.file}")
-    subset = None
     if args.subset:
         subset = [s for s in args.subset.split(",") if s]
-    result = mumford_pullback(entry.graph, entry.cycles[args.attached], subset)
+        result = mumford_pullback(entry.graph, entry.cycles[args.attached], subset)
+    else:
+        checker = EntryChecker(entry)
+        result = checker.pullback(args.attached)
+        report.checks.extend(checker.run_all("pullback", args.attached))
     report.say(f"pullback multiplicities: {result.render()}")
-    if subset is None:
-        report.checks.extend(EntryChecker(entry).run_all("pullback", args.attached))
     return report.finish(args.json)
 
 

@@ -265,9 +265,12 @@ def classify(
     complete = g.complete_ids()
     if not complete:
         raise NoCompleteVertices("no complete vertices to contract")
-    if len(g.components(complete)) > 1:
+    comps = g.components(complete)
+    if len(comps) > 1:
+        named = ", ".join(repr(min(comp)) for comp in comps)
         raise DisconnectedGraph(
-            "complete part is disconnected; classify components separately"
+            f"complete part has {len(comps)} components, at {named}; "
+            "classify each one as its own graph"
         )
     matrix, order = g.intersection_matrix()
     defres = definiteness(matrix)
@@ -293,22 +296,3 @@ def classify(
             "semidefinite with positive kernel but blow-down does not end in a zero-curve"
         )
     return NotContractible("intersection form is indefinite")
-
-
-def classify_components(
-    g: DualGraph, choose: Callable[[list[str]], str] = min
-) -> dict[str, ContractionOutcome]:
-    """Classify each connected component of the complete part separately,
-    with the transversal germs that meet it; keys are the smallest vertex id
-    of each component."""
-    complete = g.complete_ids()
-    if not complete:
-        raise NoCompleteVertices("no complete vertices to contract")
-    outcomes: dict[str, ContractionOutcome] = {}
-    for comp in g.components(complete):
-        # a complete neighbour of the component is in it, so the rest are germs
-        keep = comp | {w for vid in comp for w, _ in g.neighbors(vid)}
-        vertices = [v for v in g.vertices if v.id in keep]
-        edges = {(a, b): m for (a, b), m in g.edges().items() if a in keep and b in keep}
-        outcomes[min(comp)] = classify(DualGraph(g.name, vertices, edges), choose)
-    return outcomes

@@ -36,10 +36,6 @@ class NotNegativeDefinite(DiscrepancyError):
     pass
 
 
-class NotAChain(DiscrepancyError):
-    pass
-
-
 class UnsupportedTail(DiscrepancyError):
     pass
 
@@ -132,20 +128,6 @@ def pinned_codiscrepancies(
     return CodiscrepancyResult.from_values({**pins, **_solve_subset(g, unknowns, pins, True)})
 
 
-def pinned_consistent(
-    g: DualGraph,
-    pinned: Mapping[str, Fraction],
-    subset: Sequence[str] | None = None,
-) -> bool:
-    """Whether the free solve agrees exactly with every pinned value.
-
-    Because the free solution is unique once the form is invertible, this is
-    equivalent to consistency of the overdetermined pinned system.
-    """
-    free = codiscrepancies(g, subset)
-    return all(free.values.get(k) == rational(v) for k, v in pinned.items())
-
-
 def implied_tail_start(
     g: DualGraph,
     root: str,
@@ -200,70 +182,6 @@ def implied_tail_start(
         # neighbors outside the system (central, transversal) do not enter
     required_next = a * pins[root] - (a - 2) - other_sum
     return pins[root] - required_next
-
-
-def chain_codiscrepancy_check(
-    g: DualGraph, result: CodiscrepancyResult, chain: Sequence[str]
-) -> bool:
-    """Check the arithmetic-progression rule on a terminal (-2)-chain.
-
-    ``chain`` lists the vertices from the free end inward; every vertex
-    except possibly the last must be a (-2)-curve, the first must have no
-    other neighbor inside the solved set, and consecutive entries must be
-    joined by simple edges. True exactly when value(chain[k]) equals
-    (k+1) * value(chain[0]) for all k, the last entry included.
-    """
-    ids = list(chain)
-    if not ids:
-        raise NotAChain("empty chain")
-    solved = set(result.values)
-    for vid in ids:
-        if vid not in solved:
-            raise NotAChain(f"{vid!r} has no solved codiscrepancy")
-    for vid in ids[:-1]:
-        if g.vertex(vid).self_int != -2:
-            raise NotAChain(f"{vid!r} is not a (-2)-curve")
-    for prev, cur in zip(ids, ids[1:]):
-        if g.multiplicity(prev, cur) != 1:
-            raise NotAChain(f"{prev!r} and {cur!r} are not joined by a simple edge")
-    # the free end has one solved neighbor: the next chain vertex, or the
-    # attachment itself when the chain has length one
-    first_nbrs = [w for w, _ in g.neighbors(ids[0]) if w in solved]
-    if len(ids) > 1 and first_nbrs != [ids[1]]:
-        raise NotAChain(f"{ids[0]!r} is not a terminal chain end")
-    if len(ids) == 1 and len(first_nbrs) > 1:
-        raise NotAChain(f"{ids[0]!r} is not a terminal chain end")
-    for mid_index in range(1, len(ids) - 1):
-        vid = ids[mid_index]
-        inside = [w for w, _ in g.neighbors(vid) if w in solved]
-        if sorted(inside) != sorted([ids[mid_index - 1], ids[mid_index + 1]]):
-            raise NotAChain(f"{vid!r} has neighbors off the chain")
-    start = result.values[ids[0]]
-    return all(result.values[vid] == (k + 1) * start for k, vid in enumerate(ids))
-
-
-def fork_codiscrepancy_check(
-    g: DualGraph,
-    result: CodiscrepancyResult,
-    legs: Sequence[str],
-    fork: str,
-    chain: Sequence[str] = (),
-) -> bool:
-    """Check the rule for a terminal D-shaped (-2)-tail: the two legs carry
-    equal values, each half the fork's, and the chain continuing from the
-    fork stays constant at the fork's value."""
-    if len(legs) != 2:
-        raise NotAChain("a D-shaped tail has exactly two legs")
-    for vid in (*legs, fork, *chain):
-        if vid not in result.values:
-            raise NotAChain(f"{vid!r} has no solved codiscrepancy")
-    for leg in legs:
-        if g.vertex(leg).self_int != -2 or g.multiplicity(leg, fork) != 1:
-            raise NotAChain(f"{leg!r} is not a simple (-2)-leg of {fork!r}")
-    f = result.values[fork]
-    if not all(result.values[leg] * 2 == f for leg in legs):
-        return False
-    return all(result.values[vid] == f for vid in chain)
 
 
 def denominator_filter(result: CodiscrepancyResult, index: int) -> bool:
@@ -348,4 +266,3 @@ def mumford_pullback(
 def numerically_trivial(g: DualGraph, z: Cycle) -> bool:
     """True when the cycle pairs to zero with every complete vertex."""
     return all(cycle_dot(g, z, vid) == 0 for vid in g.complete_ids())
-

@@ -295,7 +295,6 @@ class ParseResult(NamedTuple):
     graph: DualGraph
     cycles: dict[str, Cycle]
     expects: list[tuple[str, str, int]]  # (key, value, line number), as written
-    warnings: list[str]
 
 
 _KINDS = {k.value: k for k in VertexKind}
@@ -328,7 +327,6 @@ def parse(text: str) -> ParseResult:
     edges: dict[tuple[str, str], int] = {}
     cycles: dict[str, Cycle] = {}
     expects: list[tuple[str, str, int]] = []
-    warnings: list[str] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -450,11 +448,7 @@ def parse(text: str) -> ParseResult:
 
     if name is None:
         raise DslSyntaxError(1, "missing graph directive")
-    g = DualGraph(name, vertices, edges)
-    complete = g.complete_ids()
-    if complete and len(g.components(complete)) > 1:
-        warnings.append("complete part is disconnected; classify per component")
-    return ParseResult(g, cycles, expects, warnings)
+    return ParseResult(DualGraph(name, vertices, edges), cycles, expects)
 
 
 def _looks_like_int(token: str) -> bool:
@@ -506,29 +500,3 @@ def serialize(
     for key, value in expects or []:
         out.append(f"expect {key} = {value}")
     return "\n".join(out) + "\n"
-
-
-def ade_graph(family: str, rank: int, name: str | None = None) -> DualGraph:
-    """The all-(-2) dual graph of a rational double point of the given type:
-    a chain for A, a chain with two short prongs for D, the three E shapes."""
-    family = family.upper()
-    if family == "A":
-        if rank < 1:
-            raise ValueError("A rank must be >= 1")
-        legs: list[tuple[str, str]] = [(f"v{i}", f"v{i+1}") for i in range(1, rank)]
-        ids = [f"v{i}" for i in range(1, rank + 1)]
-    elif family == "D":
-        if rank < 4:
-            raise ValueError("D rank must be >= 4")
-        ids = [f"v{i}" for i in range(1, rank + 1)]
-        legs = [(f"v{i}", f"v{i+1}") for i in range(1, rank - 1)]
-        legs.append((f"v{rank - 2}", f"v{rank}"))
-    elif family == "E":
-        if rank not in (6, 7, 8):
-            raise ValueError("E rank must be 6, 7 or 8")
-        ids = [f"v{i}" for i in range(1, rank + 1)]
-        legs = [(f"v{i}", f"v{i+1}") for i in range(1, rank - 1)] + [("v3", f"v{rank}")]
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    vertices = [Vertex(vid, VertexKind.EXCEPTIONAL, -2) for vid in ids]
-    return DualGraph(name or f"{family}{rank}", vertices, legs)

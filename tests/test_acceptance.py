@@ -11,7 +11,6 @@ import pytest
 from resgraph.catalog import load_catalog
 from resgraph.contract import CurveFiber, classify
 from resgraph.discrepancy import (
-    chain_codiscrepancy_check,
     codiscrepancies,
     denominator_filter,
     fundamental_cycle,
@@ -29,7 +28,7 @@ from resgraph.wps import (
     subadjunction_genus,
     wblowup_discrepancy,
 )
-from util import attach_chain, random_tree_graph
+from util import attach_chain, chain_codiscrepancy_check, random_tree_graph
 
 F = Fraction
 

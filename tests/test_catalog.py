@@ -127,6 +127,17 @@ def test_verify_entry_reports_failures_instead_of_raising(monkeypatch):
         verify_entry(entry)
 
 
+def test_a_classification_error_is_the_actual_value_of_each_check_that_reads_it():
+    text = "graph g\nv t ~\ncycle z: t=1\n"
+    text += "expect outcome = SmoothPoint\nexpect fiber_cycle = z\n"
+    records = verify_entry(parse_entry(text, "probe"))
+    message = "error: no complete vertices to contract"
+    assert [(r.check, r.expected, r.actual) for r in records] == [
+        ("outcome", "SmoothPoint", message),
+        ("fiber_cycle", "t=1", message),
+    ]
+
+
 def test_filtering():
     records = verify_catalog(pattern="rejected/*")
     assert records and all(r.entry.startswith("rejected/") for r in records)

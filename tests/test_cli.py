@@ -1,8 +1,13 @@
 import json
+from collections import Counter
 
 import pytest
 
-from resgraph.catalog import data_root
+import resgraph.catalog
+import resgraph.cli
+import resgraph.contract
+import resgraph.discrepancy
+from resgraph.catalog import data_root, load_catalog
 from resgraph.cli import main
 
 
@@ -65,6 +70,17 @@ def test_classify_failed_expectation_exits_1(tmp_path, capsys):
     code, out, _ = run(capsys, "classify", str(path))
     assert code == 1
     assert "FAIL" in out
+
+
+def test_classify_disconnected_file_names_each_component(tmp_path, capsys):
+    path = tmp_path / "two.dg"
+    path.write_text("graph g\nv b -2\nv c -2\ne b c\nv a -3\nv t ~\ne a t\n")
+    code, out, err = run(capsys, "classify", str(path))
+    assert code == 2 and not out
+    assert err == (
+        "error: complete part has 2 components, at 'a', 'b'; "
+        "classify each one as its own graph\n"
+    )
 
 
 def test_codisc_d4_target(capsys):
@@ -372,3 +388,41 @@ def test_command_json_mode(capsys):
     assert payload["status"] == 0
     assert payload["command"][0] == "classify"
     assert all(record["pass"] for record in payload["checks"])
+
+
+SOLVERS = ("classify", "definiteness", "codiscrepancies", "mumford_pullback")
+
+
+def count_solves(monkeypatch) -> Counter:
+    """Count the calls of each solver, through every module that binds it."""
+    counts: Counter = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = (resgraph.catalog, resgraph.cli, resgraph.contract, resgraph.discrepancy)
+    for module in modules:
+        for name in SOLVERS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return counts
+
+
+@pytest.mark.parametrize("entry", load_catalog(), ids=lambda e: e.name)
+def test_each_command_solves_once(entry, capsys, monkeypatch):
+    counts = count_solves(monkeypatch)
+    path = str(entry.path)
+    run(capsys, "classify", path)
+    assert counts["classify"] == 1
+    assert counts["definiteness"] <= 2
+    counts.clear()
+    run(capsys, "codisc", path)
+    assert counts["codiscrepancies"] == 1
+    for name in entry.cycles:
+        counts.clear()
+        run(capsys, "pullback", path, "--attached", name)
+        assert counts["mumford_pullback"] == 1, name

@@ -15,15 +15,16 @@ from resgraph.contract import (
     SmoothPoint,
     blow_down_once,
     classify,
-    classify_components,
     complete_definiteness,
     contract_minus_ones,
     recognize_duval,
 )
-from resgraph.graph import Cycle, DualGraph, Vertex, VertexKind, cycle_dot, parse, ade_graph
+from resgraph.graph import Cycle, DualGraph, Vertex, VertexKind, cycle_dot, parse
 from resgraph.linalg import NEGATIVE_DEFINITE, definiteness
 from util import (
+    ade_graph,
     arithmetic_genus,
+    classify_components,
     contract_oracle,
     dense_definiteness,
     dense_rows,

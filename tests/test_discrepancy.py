@@ -7,29 +7,30 @@ from resgraph import discrepancy, graph, linalg
 from resgraph.catalog import load_catalog
 from resgraph.discrepancy import (
     DiscrepancyError,
-    NotAChain,
     NotNegativeDefinite,
     SingularConfiguration,
     UnsupportedTail,
     all_components_rational,
-    chain_codiscrepancy_check,
     codiscrepancies,
     denominator_filter,
-    fork_codiscrepancy_check,
     fundamental_cycle,
     implied_tail_start,
     mumford_pullback,
     numerically_trivial,
     pinned_codiscrepancies,
-    pinned_consistent,
 )
-from resgraph.graph import Cycle, DualGraph, Vertex, VertexKind, ade_graph, cycle_dot, parse
+from resgraph.graph import Cycle, DualGraph, Vertex, VertexKind, cycle_dot, parse
 from resgraph.linalg import definiteness, rational, solve
 from util import (
+    NotAChain,
+    ade_graph,
     attach_chain,
     attach_fork_tail,
+    chain_codiscrepancy_check,
     cycle_dot_restricted,
+    fork_codiscrepancy_check,
     laufer_oracle,
+    pinned_consistent,
     point_blowups,
     random_tree_graph,
 )

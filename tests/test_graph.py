@@ -17,13 +17,13 @@ from resgraph.graph import (
     UnknownVertex,
     Vertex,
     VertexKind,
-    ade_graph,
     cycle_dot,
     parse,
     serialize,
 )
 from resgraph.linalg import SymMatrix
 from util import (
+    ade_graph,
     cycle_pairing,
     dense_rows,
     point_blowups,
@@ -198,11 +198,6 @@ def test_dual_graph_rejects_an_edge_multiplicity_that_is_not_a_positive_int(mult
     vertices = [Vertex(v, VertexKind.EXCEPTIONAL, -2) for v in "ab"]
     with pytest.raises(GraphError, match="edge multiplicity must be a positive int"):
         DualGraph("g", vertices, {("a", "b"): mult})
-
-
-def test_parse_warns_on_disconnected_complete_part():
-    result = parse("graph g\nv a -2\nv b -2\n")
-    assert result.warnings
 
 
 def test_parse_carries_the_line_of_each_expectation():

@@ -19,8 +19,9 @@ from resgraph.linalg import (
     rational,
     solve,
 )
-from resgraph.graph import DualGraph, Vertex, VertexKind, ade_graph
+from resgraph.graph import DualGraph, Vertex, VertexKind
 from util import (
+    ade_graph,
     apply,
     attach_fork_tail,
     dense_definiteness,

@@ -32,7 +32,7 @@ WPS = WeightedProjectiveSpace((1, 1, 2, 3))
 CONSTRUCTIONS = [
     (Vertex, ("a", EXC, -2, "x"), {"id": "a", "kind": EXC, "self_int": -2, "label": "x"}),
     (Cycle, ({"a": 1},), {"coefficients": {"a": 1}}),
-    (ParseResult, (G, {}, [], []), {"graph": G, "cycles": {}, "expects": [], "warnings": []}),
+    (ParseResult, (G, {}, []), {"graph": G, "cycles": {}, "expects": []}),
     (ADEType, ("D", 4), {"family": "D", "rank": 4}),
     (SmoothPoint, (), {}),
     (DuValPoint, (ADEType("E", 8),), {"ade": ADEType("E", 8)}),
@@ -74,10 +74,10 @@ REPRS = [
     ),
     (Cycle(), "Cycle(coefficients={})"),
     (
-        ParseResult(G, {"z": Cycle({"a": 2})}, [("rejected", "true", 3)], ["w"]),
+        ParseResult(G, {"z": Cycle({"a": 2})}, [("rejected", "true", 3)]),
         "ParseResult(graph=DualGraph('g', 1 vertices, 0 edges), "
         "cycles={'z': Cycle(coefficients={'a': Fraction(2, 1)})}, "
-        "expects=[('rejected', 'true', 3)], warnings=['w'])",
+        "expects=[('rejected', 'true', 3)])",
     ),
     (ADEType("D", 4), "ADEType(family='D', rank=4)"),
     (SmoothPoint(), "SmoothPoint()"),

@@ -1,16 +1,27 @@
 """Shared test helpers: independent brute-force oracles and random graph
 generators. Oracles here deliberately avoid the library's elimination code
 so they can check it: the dense solver, kernel and definiteness below
-eliminate in plain column order, with none of the library's sparse pivoting."""
+eliminate in plain column order, with none of the library's sparse pivoting.
+
+It also holds the reference checks that left the library because only tests
+called them (the free-versus-pinned consistency test, the chain and fork
+codiscrepancy rules, per-component classification) and the ``ade_graph``
+generator of the rational-double-point graphs."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable, Mapping, Sequence
 
-from resgraph.contract import blow_down_once
-from resgraph.discrepancy import DiscrepancyError, NotNegativeDefinite
+from resgraph.contract import ContractionOutcome, NoCompleteVertices, blow_down_once, classify
+from resgraph.discrepancy import (
+    CodiscrepancyResult,
+    DiscrepancyError,
+    NotNegativeDefinite,
+    codiscrepancies,
+)
 from resgraph.graph import Cycle, DualGraph, TransversalInSubset, Vertex, VertexKind, cycle_dot
 from resgraph.linalg import (
     INDEFINITE,
@@ -20,6 +31,7 @@ from resgraph.linalg import (
     SymMatrix,
     UnderdeterminedSystem,
     primitive_integer_vector,
+    rational,
 )
 
 
@@ -273,6 +285,136 @@ def arithmetic_genus(g: DualGraph, z: Cycle) -> Fraction:
     zz = cycle_pairing(g, z, z)
     zk = canonical_dot(g, z)
     return 1 + (zz + zk) / 2
+
+
+# -- reference checks over solved results, and the ADE generator ---------
+
+
+class NotAChain(DiscrepancyError):
+    pass
+
+
+def pinned_consistent(
+    g: DualGraph,
+    pinned: Mapping[str, Fraction],
+    subset: Sequence[str] | None = None,
+) -> bool:
+    """Whether the free solve agrees exactly with every pinned value.
+
+    Because the free solution is unique once the form is invertible, this is
+    equivalent to consistency of the overdetermined pinned system.
+    """
+    free = codiscrepancies(g, subset)
+    return all(free.values.get(k) == rational(v) for k, v in pinned.items())
+
+
+def chain_codiscrepancy_check(
+    g: DualGraph, result: CodiscrepancyResult, chain: Sequence[str]
+) -> bool:
+    """Check the arithmetic-progression rule on a terminal (-2)-chain.
+
+    ``chain`` lists the vertices from the free end inward; every vertex
+    except possibly the last must be a (-2)-curve, the first must have no
+    other neighbor inside the solved set, and consecutive entries must be
+    joined by simple edges. True exactly when value(chain[k]) equals
+    (k+1) * value(chain[0]) for all k, the last entry included.
+    """
+    ids = list(chain)
+    if not ids:
+        raise NotAChain("empty chain")
+    solved = set(result.values)
+    for vid in ids:
+        if vid not in solved:
+            raise NotAChain(f"{vid!r} has no solved codiscrepancy")
+    for vid in ids[:-1]:
+        if g.vertex(vid).self_int != -2:
+            raise NotAChain(f"{vid!r} is not a (-2)-curve")
+    for prev, cur in zip(ids, ids[1:]):
+        if g.multiplicity(prev, cur) != 1:
+            raise NotAChain(f"{prev!r} and {cur!r} are not joined by a simple edge")
+    # the free end has one solved neighbor: the next chain vertex, or the
+    # attachment itself when the chain has length one
+    first_nbrs = [w for w, _ in g.neighbors(ids[0]) if w in solved]
+    if len(ids) > 1 and first_nbrs != [ids[1]]:
+        raise NotAChain(f"{ids[0]!r} is not a terminal chain end")
+    if len(ids) == 1 and len(first_nbrs) > 1:
+        raise NotAChain(f"{ids[0]!r} is not a terminal chain end")
+    for mid_index in range(1, len(ids) - 1):
+        vid = ids[mid_index]
+        inside = [w for w, _ in g.neighbors(vid) if w in solved]
+        if sorted(inside) != sorted([ids[mid_index - 1], ids[mid_index + 1]]):
+            raise NotAChain(f"{vid!r} has neighbors off the chain")
+    start = result.values[ids[0]]
+    return all(result.values[vid] == (k + 1) * start for k, vid in enumerate(ids))
+
+
+def fork_codiscrepancy_check(
+    g: DualGraph,
+    result: CodiscrepancyResult,
+    legs: Sequence[str],
+    fork: str,
+    chain: Sequence[str] = (),
+) -> bool:
+    """Check the rule for a terminal D-shaped (-2)-tail: the two legs carry
+    equal values, each half the fork's, and the chain continuing from the
+    fork stays constant at the fork's value."""
+    if len(legs) != 2:
+        raise NotAChain("a D-shaped tail has exactly two legs")
+    for vid in (*legs, fork, *chain):
+        if vid not in result.values:
+            raise NotAChain(f"{vid!r} has no solved codiscrepancy")
+    for leg in legs:
+        if g.vertex(leg).self_int != -2 or g.multiplicity(leg, fork) != 1:
+            raise NotAChain(f"{leg!r} is not a simple (-2)-leg of {fork!r}")
+    f = result.values[fork]
+    if not all(result.values[leg] * 2 == f for leg in legs):
+        return False
+    return all(result.values[vid] == f for vid in chain)
+
+
+def classify_components(
+    g: DualGraph, choose: Callable[[list[str]], str] = min
+) -> dict[str, ContractionOutcome]:
+    """Classify each connected component of the complete part separately,
+    with the transversal germs that meet it; keys are the smallest vertex id
+    of each component."""
+    complete = g.complete_ids()
+    if not complete:
+        raise NoCompleteVertices("no complete vertices to contract")
+    outcomes: dict[str, ContractionOutcome] = {}
+    for comp in g.components(complete):
+        # a complete neighbour of the component is in it, so the rest are germs
+        keep = comp | {w for vid in comp for w, _ in g.neighbors(vid)}
+        vertices = [v for v in g.vertices if v.id in keep]
+        edges = {(a, b): m for (a, b), m in g.edges().items() if a in keep and b in keep}
+        outcomes[min(comp)] = classify(DualGraph(g.name, vertices, edges), choose)
+    return outcomes
+
+
+def ade_graph(family: str, rank: int, name: str | None = None) -> DualGraph:
+    """The all-(-2) dual graph of a rational double point of the given type:
+    a chain for A, a chain with two short prongs for D, the three E shapes."""
+    family = family.upper()
+    if family == "A":
+        if rank < 1:
+            raise ValueError("A rank must be >= 1")
+        legs: list[tuple[str, str]] = [(f"v{i}", f"v{i+1}") for i in range(1, rank)]
+        ids = [f"v{i}" for i in range(1, rank + 1)]
+    elif family == "D":
+        if rank < 4:
+            raise ValueError("D rank must be >= 4")
+        ids = [f"v{i}" for i in range(1, rank + 1)]
+        legs = [(f"v{i}", f"v{i+1}") for i in range(1, rank - 1)]
+        legs.append((f"v{rank - 2}", f"v{rank}"))
+    elif family == "E":
+        if rank not in (6, 7, 8):
+            raise ValueError("E rank must be 6, 7 or 8")
+        ids = [f"v{i}" for i in range(1, rank + 1)]
+        legs = [(f"v{i}", f"v{i+1}") for i in range(1, rank - 1)] + [("v3", f"v{rank}")]
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    vertices = [Vertex(vid, VertexKind.EXCEPTIONAL, -2) for vid in ids]
+    return DualGraph(name or f"{family}{rank}", vertices, legs)
 
 
 def contract_oracle(g: DualGraph, choose=min) -> DualGraph:
