@@ -11,10 +11,9 @@ in a single self-intersection-zero curve.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable
 
-from .graph import Cycle, DualGraph, Vertex
+from .graph import Cycle, DualGraph, Vertex, _pull_back
 from .linalg import Definiteness, Value, definiteness
 
 
@@ -140,37 +139,25 @@ def blow_down_once(g: DualGraph, vid: str) -> DualGraph:
     return DualGraph(g.name, vertices, edges)
 
 
+def _residual(g: DualGraph, choose: Callable[[list[str]], str]) -> tuple:
+    """``DualGraph._blow_down`` of all of g, with ``choose`` held to the candidates."""
+    def pick(candidates: list[str]) -> str:
+        if (vid := choose(candidates)) not in candidates:
+            raise NotMinusOne(f"{vid!r} is not a complete (-1)-curve")
+        return vid
+
+    return g._blow_down(g.ids(), pick)
+
+
 def contract_minus_ones(g: DualGraph, choose: Callable[[list[str]], str] = min) -> DualGraph:
     """Contract complete (-1)-curves until none remain. ``choose`` picks the
     next one from the sorted candidate list; the default (smallest id) makes
     reports reproducible, and classification is order-independent.
 
-    Each step is ``blow_down_once`` on one mutable integer copy of the graph,
-    and one ``DualGraph`` is built at the end (``g`` itself if nothing
-    contracts). Cost: O(n + e) for the copy, O(deg^2) per blow-down, and a
-    sort of the current (-1)-curves for each ``choose``.
+    The steps run on one mutable integer copy (``DualGraph._blow_down``), and
+    one ``DualGraph`` is built at the end (``g`` itself if none contracts).
     """
-    weight, nbrs = g._int_view(g.ids())
-    candidates = {vid for vid, w in weight.items() if w == -1}
-    if not candidates:
-        return g
-    while candidates:
-        vid = choose(sorted(candidates))
-        if vid not in candidates:
-            raise NotMinusOne(f"{vid!r} is not a complete (-1)-curve")
-        candidates.remove(vid)
-        del weight[vid]
-        incident = list(nbrs.pop(vid).items())
-        for i, (a, ma) in enumerate(incident):
-            del nbrs[a][vid]
-            if weight[a] is not None:  # a transversal germ has no weight to raise
-                weight[a] += ma * ma
-                (candidates.add if weight[a] == -1 else candidates.discard)(a)
-            for b, mb in incident[i + 1:]:
-                nbrs[a][b] = nbrs[b][a] = nbrs[a].get(b, 0) + ma * mb
-    vertices = [Vertex(v.id, v.kind, weight[v.id], v.label) for v in g.vertices if v.id in weight]
-    edges = {(a, b): m for a, row in nbrs.items() for b, m in row.items() if a < b}
-    return DualGraph(g.name, vertices, edges)
+    return _residual(g, choose)[0]
 
 
 def contracts_to_zero_curve(g: DualGraph, choose: Callable[[list[str]], str] = min) -> bool:
@@ -253,14 +240,14 @@ def classify(
 ) -> ContractionOutcome:
     """Decide what the configuration of complete curves contracts to.
 
-    Negative definite: contract every (-1)-curve; an empty residual is a
-    smooth point, an ADE residual a rational double point, anything else some
-    other rational point (returned with the residual graph). Negative
-    semidefinite (then of corank one, with a strictly positive primitive
-    kernel) and a blow-down that ends in a single self-intersection-zero
-    curve: a fiber of a rational curve fibration, returned with the kernel
-    cycle. Everything else: not contractible, with the failed criterion
-    named.
+    First contract every (-1)-curve, then classify the residual's form,
+    whose kind is the configuration's. Negative definite: an empty residual
+    is a smooth point, an ADE residual a rational double point, anything
+    else some other rational point (returned with the residual graph).
+    Negative semidefinite (then of corank one, with a strictly positive
+    primitive kernel) with a single self-intersection-zero curve left: a
+    fiber of a rational curve fibration, returned with the kernel cycle.
+    Everything else: not contractible, with the failed criterion named.
     """
     complete = g.complete_ids()
     if not complete:
@@ -272,12 +259,11 @@ def classify(
             f"complete part has {len(comps)} components, at {named}; "
             "classify each one as its own graph"
         )
-    matrix, order = g.intersection_matrix()
-    defres = definiteness(matrix)
+    residual, _, _, record = _residual(g, choose)
+    defres = complete_definiteness(residual)
+    rest = residual.complete_ids()
 
     if defres.is_negative_definite:
-        residual = contract_minus_ones(g, choose)
-        rest = residual.complete_ids()
         if not rest:
             return SmoothPoint()
         ade = recognize_duval(residual, rest)
@@ -287,11 +273,10 @@ def classify(
 
     if defres.is_negative_semidefinite:
         # The form is connected with nonnegative off-diagonal entries, so by
-        # Zariski's lemma (Perron-Frobenius) it has corank 1 and a kernel
-        # vector with every coefficient positive.
-        if contracts_to_zero_curve(g, choose):
-            fiber = Cycle({vid: Fraction(c) for vid, c in zip(order, defres.kernel[0])})
-            return CurveFiber(fiber)
+        # Zariski's lemma (Perron-Frobenius) it has corank 1 and a positive
+        # kernel vector: here the pull-back of the one curve left, a 0-curve.
+        if len(rest) == 1:
+            return CurveFiber(Cycle(_pull_back(record, {rest[0]: 1})))
         return NotContractible(
             "semidefinite with positive kernel but blow-down does not end in a zero-curve"
         )

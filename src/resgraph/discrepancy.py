@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .graph import Cycle, DualGraph, cycle_dot
+from .graph import Cycle, DualGraph, _pull_back, cycle_dot
 from .linalg import LinAlgError, definiteness, rational, solve
 
 
@@ -197,27 +197,31 @@ def fundamental_cycle(
     """Artin's fundamental cycle of a connected negative-definite
     configuration, with its arithmetic genus.
 
-    Laufer's loop: start from the sum of the curves and add any curve that
-    still meets the cycle positively until Z . E_j <= 0 everywhere. Z is the
-    least cycle with that property, so the result does not depend on the
-    order of the additions. The loop keeps every Z . E_j as an integer and a
-    stack of the positive ones, so each +1 step costs O(degree). The
-    contracted point is a rational singularity exactly when p_a(Z) = 0.
+    The configuration's own (-1)-curves are blown down first, and Z is the
+    pull-back of the residual's fundamental cycle (Laufer 1972). There,
+    Laufer's loop adds to the sum of the curves any curve that meets the
+    cycle positively until Z . E_j <= 0 everywhere, with each Z . E_j an
+    integer and a stack of the positive ones: O(degree) a step. Z is the
+    least such cycle, so no order matters. The contracted point is a
+    rational singularity exactly when p_a(Z) = 0.
     """
     ids = sorted(set(g.exceptional_ids() if subset is None else subset))
     if not ids:
         raise EmptySubset("empty subset")
     if len(g.components(ids)) != 1:
         raise DiscrepancyError("fundamental cycle needs a connected configuration")
-    matrix, _ = g.intersection_matrix(ids)
-    if not definiteness(matrix).is_negative_definite:
+    residual, weight, nbrs, record = g._blow_down(ids)
+    # a transversal germ is never blown down, so this names the first one
+    if not definiteness(residual.intersection_matrix(list(weight))[0]).is_negative_definite:
         raise NotNegativeDefinite("configuration is not negative definite")
-    weight, nbrs = g._int_view(ids)
-    coeffs = dict.fromkeys(ids, 1)
-    dots = {vid: weight[vid] + sum(nbrs[vid].values()) for vid in ids}
+    if not weight:  # the last curve blown down is the residual then
+        vid = record.pop()[0]
+        weight, nbrs = {vid: -1}, {vid: {}}
+    coeffs = dict.fromkeys(weight, 1)
+    dots = {vid: w + sum(nbrs[vid].values()) for vid, w in weight.items()}
     # a curve is pushed when its Z . E turns positive, and only a step on it
     # lowers Z . E again, so each positive curve is on the stack exactly once
-    stack = [vid for vid in ids if dots[vid] > 0]
+    stack = [vid for vid in weight if dots[vid] > 0]
     while stack:
         vid = stack.pop()
         coeffs[vid] += 1
@@ -228,8 +232,10 @@ def fundamental_cycle(
             dots[w] += m
         if dots[vid] > 0:
             stack.append(vid)
-    # 2 p_a - 2 = Z.Z + Z.K, with Z.Z = sum c * (Z.E) and K.E = -2 - E^2
-    zz_zk = sum(coeffs[vid] * (dots[vid] - 2 - weight[vid]) for vid in ids)
+    _pull_back(record, coeffs)
+    # 2 p_a - 2 = Z.Z + Z.K, with Z.Z = sum c * (Z.E), K.E = -2 - E^2, and
+    # Z.E = 0 on each curve blown down, as a pull-back meets it so
+    zz_zk = sum(c * (dots.get(vid, 0) - 2 - g._by_id[vid].self_int) for vid, c in coeffs.items())
     return Cycle(coeffs), 1 + Fraction(zz_zk, 2)
 
 

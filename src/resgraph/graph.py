@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .linalg import SymMatrix, Value, format_rational, rational
 
@@ -244,6 +244,55 @@ class DualGraph:
         weight = {vid: self._by_id[vid].self_int for vid in ids}
         nbrs = {vid: {w: m for w, m in self._adjacency[vid] if w in weight} for vid in weight}
         return weight, nbrs
+
+    def _blow_down(self, ids: Iterable[str], choose: Callable[[list[str]], str] | None = None):
+        """Blow down the complete (-1)-curves of ``_int_view(ids)``: the graph
+        left (this one if none was), that view, and the record of (curve,
+        [(neighbour, multiplicity), ...]) per step.
+
+        A step, O(deg^2), raises each complete neighbour by m^2 and joins each
+        pair by m_a m_b: the Schur complement of a -1 pivot, so the complete
+        form keeps its kind and corank and loses a negative square (Artin
+        1962). ``choose`` picks from the sorted (-1)-curves and must return
+        one of them; without it they come off a stack.
+        """
+        weight, nbrs = self._int_view(ids)
+        minus = [vid for vid, w in weight.items() if w == -1]
+        record = []
+        while minus:
+            if choose is None:
+                vid = minus.pop()
+            else:
+                vid = choose(sorted(minus))
+                minus.remove(vid)
+            del weight[vid]
+            incident = list(nbrs.pop(vid).items())
+            record.append((vid, incident))
+            for i, (a, ma) in enumerate(incident):
+                del nbrs[a][vid]
+                w = weight[a]
+                if w is not None:  # a transversal germ has no weight to raise
+                    if w == -1:
+                        minus.remove(a)
+                    weight[a] = w = w + ma * ma
+                    if w == -1:
+                        minus.append(a)
+                for b, mb in incident[i + 1:]:
+                    nbrs[a][b] = nbrs[b][a] = nbrs[a].get(b, 0) + ma * mb
+        if not record:
+            return self, weight, nbrs, record
+        vertices = [Vertex(v.id, v.kind, weight[v.id], v.label) for v in self.vertices if v.id in weight]
+        edges = {(a, b): m for a, row in nbrs.items() for b, m in row.items() if a < b}
+        return DualGraph(self.name, vertices, edges), weight, nbrs, record
+
+
+def _pull_back(record: list, coeffs: dict[str, int]) -> dict[str, int]:
+    """Extend a cycle on the residual of ``DualGraph._blow_down`` to its
+    total transform, last step first: a contracted curve E gets the sum of
+    m_a z_a over the curves it met. Transversal germs count as zero."""
+    for vid, incident in reversed(record):
+        coeffs[vid] = sum(m * coeffs.get(a, 0) for a, m in incident)
+    return coeffs
 
 
 _ZERO = Fraction(0)  # shared: a Fraction is immutable

@@ -1,0 +1,230 @@
+"""``classify`` and ``fundamental_cycle`` blow down every (-1)-curve before
+any linear algebra, and work on the residual. These tests hold them to the
+old whole-form computations (``classify_oracle``, ``laufer_oracle``), count
+the size of what they eliminate, and replay the blow-down record through the
+one-step reference ``blow_down_once``."""
+
+import random
+
+import pytest
+
+from resgraph import linalg
+from resgraph.catalog import load_catalog
+from resgraph.contract import (
+    ContractionError,
+    CurveFiber,
+    NotContractible,
+    NotMinusOne,
+    blow_down_once,
+    classify,
+    contract_minus_ones,
+)
+from resgraph.discrepancy import DiscrepancyError, fundamental_cycle
+from resgraph.graph import DualGraph, GraphError, Vertex, VertexKind, parse
+from util import (
+    ade_graph,
+    classify_oracle,
+    contract_oracle,
+    laufer_oracle,
+    point_blowups,
+    random_cyclic_graph,
+    random_tree_graph,
+)
+
+SMOOTH = DualGraph("smooth", [], {})
+FIBER = DualGraph("fiber", [Vertex("f", VertexKind.EXCEPTIONAL, 0)], {})
+BASES = [SMOOTH, FIBER] + [
+    ade_graph(family, rank)
+    for family, rank in [("A", 1), ("A", 6), ("D", 4), ("D", 9), ("E", 6), ("E", 7), ("E", 8)]
+]
+
+
+def result_or_error(fn, *args):
+    """The result, or the type and message of the library error raised."""
+    try:
+        return fn(*args)
+    except (ContractionError, DiscrepancyError, GraphError) as exc:
+        return type(exc), str(exc)
+
+
+def blowups(seed: str, count: int, kmax: int = 80) -> list[DualGraph]:
+    rng = random.Random(seed)
+    return [point_blowups(rng, BASES[i % len(BASES)], rng.randint(1, kmax)) for i in range(count)]
+
+
+def with_germ(rng: random.Random, g: DualGraph) -> DualGraph:
+    """g plus one transversal germ on a random curve."""
+    edges = dict(g.edges())
+    edges[tuple(sorted(("t", rng.choice(g.ids()))))] = rng.choice((1, 2))
+    return DualGraph(g.name, list(g.vertices) + [Vertex("t", VertexKind.TRANSVERSAL, None)], edges)
+
+
+# -- classify against the whole-form oracle ---------------------------------
+
+
+def classify_cases() -> list[tuple[str, DualGraph]]:
+    rng = random.Random("classify-oracle")
+    cases = [(f"blowup-{i}", g) for i, g in enumerate(blowups("classify-blowups", 36))]
+    cases += [(f"blowup-germ-{i}", with_germ(rng, g)) for i, g in enumerate(blowups("germs", 9, 40))]
+    cases += [
+        (f"tree-12-{n}", random_tree_graph(rng, n, weights=(-1, -2)))
+        for n in (1, 2, 3, 5, 8, 13, 21, 34, 55, 80)
+    ]
+    # the affine D4 star: semidefinite, and no blow-down reaches a 0-curve
+    star = parse("graph star\nv k -2\nv a -2\nv b -2\nv c -2\nv d -2\ne k a\ne k b\ne k c\ne k d\n")
+    cases += [(f"affine-star-{k}", point_blowups(rng, star.graph, k)) for k in (0, 1, 7, 30)]
+    cases += [(f"cyclic-{n}", random_cyclic_graph(rng, n)) for n in (10, 20, 40)]
+    cases += [
+        (f"cyclic-123-{n}", random_cyclic_graph(rng, n, weights=(-1, -2, -3)))
+        for n in (10, 20, 30, 40)
+    ]
+    cases += [(entry.name, entry.graph) for entry in load_catalog()]
+    return cases
+
+
+CLASSIFY_CASES = classify_cases()
+
+
+@pytest.mark.parametrize("name,g", CLASSIFY_CASES, ids=[name for name, _ in CLASSIFY_CASES])
+def test_classify_equals_the_whole_form_oracle(name, g):
+    assert result_or_error(classify, g) == result_or_error(classify_oracle, g)
+
+
+def test_the_classify_cases_reach_every_outcome():
+    kinds = {type(classify(g)).__name__ for _, g in CLASSIFY_CASES}
+    assert kinds == {"SmoothPoint", "DuValPoint", "RationalPoint", "CurveFiber", "NotContractible"}
+    reasons = {classify(g).reason for _, g in CLASSIFY_CASES if isinstance(classify(g), NotContractible)}
+    assert any("indefinite" in r for r in reasons) and any("zero-curve" in r for r in reasons)
+
+
+def test_choose_is_called_on_an_indefinite_form_and_must_return_a_candidate():
+    # [[-1, 2], [2, -1]] is indefinite; the parent decided that before any
+    # blow-down and never called choose
+    g = parse("graph g\nv a -1\nv b -1\ne a b m=2\n").graph
+    seen = []
+    out = classify(g, lambda c: seen.append(list(c)) or c[0])
+    assert out == NotContractible("intersection form is indefinite")
+    assert seen == [["a", "b"]]
+    with pytest.raises(NotMinusOne, match="'nope' is not a complete"):
+        classify(g, lambda c: "nope")
+
+
+# -- fundamental_cycle against Laufer's loop on the whole subset ------------
+
+
+def assert_laufer_oracle_holds(g, subset=None):
+    """Same cycle and genus, or the same exception type and message."""
+    got, want = result_or_error(fundamental_cycle, g, subset), result_or_error(laufer_oracle, g, subset)
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        # the oracle raises the base class where the library names the case
+        assert issubclass(got[0], want[0]) and got[1] == want[1]
+    else:
+        assert got == want
+    return got
+
+
+def test_fundamental_cycle_equals_the_oracle_on_blowups():
+    for g in blowups("laufer-blowups", 16):
+        assert_laufer_oracle_holds(g)
+
+
+def test_fundamental_cycle_equals_the_oracle_on_subsets_whose_minus_ones_meet_outside():
+    rng = random.Random("laufer-subsets")
+    crossing = 0
+    for g in blowups("laufer-subset-graphs", 30, 60):
+        keep = {vid for vid in g.ids() if rng.random() < 0.7}
+        for comp in g.components(keep):
+            subset = sorted(comp)
+            assert_laufer_oracle_holds(g, subset)
+            crossing += any(
+                g.vertex(vid).self_int == -1 and any(w not in comp for w, _ in g.neighbors(vid))
+                for vid in subset
+            )
+    assert crossing >= 20
+
+
+def test_fundamental_cycle_equals_the_oracle_on_every_error():
+    exc = VertexKind.EXCEPTIONAL
+    vertices = [Vertex(v, exc, w) for v, w in zip("abcde", (-2, -1, -2, -2, 0))]
+    edges = [("a", "b"), ("b", "c"), ("a", "c"), ("a", "t"), ("d", "e")]
+    g = DualGraph("g", vertices + [Vertex("t", VertexKind.TRANSVERSAL, None)], edges)
+    cases = {
+        "empty": [],
+        "disconnected": ["a", "d"],
+        "unknown": ["a", "nope"],
+        "transversal": ["a", "t"],
+        "transversal after a blow-down": ["b", "c", "t", "a"],
+        "indefinite": ["d", "e"],
+        "indefinite after a blow-down": ["a", "b", "c"],
+    }
+    for name, subset in cases.items():
+        got = assert_laufer_oracle_holds(g, subset)
+        assert isinstance(got[0], type), name
+    assert assert_laufer_oracle_holds(g, ["a", "b"])[1] == 0
+    rng = random.Random("laufer-fibers")
+    for k in (1, 10, 80):
+        got = assert_laufer_oracle_holds(point_blowups(rng, FIBER, k))
+        assert got[0].__name__ == "NotNegativeDefinite"
+
+
+# -- how much linear algebra runs -------------------------------------------
+
+
+def test_no_elimination_is_larger_than_the_residual(monkeypatch):
+    dims, kernels = [], []
+    eliminate, kernel_basis = linalg._eliminate, linalg.kernel_basis
+
+    def counting_eliminate(M, b=None):
+        dims.append(M.dimension)
+        return eliminate(M, b)
+
+    def counting_kernel_basis(M):
+        kernels.append(M.dimension)
+        return kernel_basis(M)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(linalg, "kernel_basis", counting_kernel_basis)
+    rng = random.Random("counting")
+    for base in BASES:
+        g = point_blowups(rng, base, 80)
+        n = len(contract_minus_ones(g).complete_ids())
+        assert n == len(base.ids()) and len(g.ids()) == n + 80
+        dims.clear()
+        kernels.clear()
+        out = classify(g)
+        if base is FIBER:
+            assert isinstance(out, CurveFiber)
+            assert kernels == [1]
+        else:
+            fundamental_cycle(g)
+            assert kernels == []
+        assert dims and max(dims) <= n, base.name
+    dims.clear()
+    linalg.definiteness(g.intersection_matrix()[0])  # the counter is live
+    assert dims == [len(g.ids())]
+
+
+# -- the record, replayed ---------------------------------------------------
+
+
+def test_the_blow_down_record_replays_through_blow_down_once():
+    rng = random.Random("replay")
+    graphs = blowups("replay", 18, 50) + [with_germ(rng, g) for g in blowups("replay-germs", 9, 30)]
+    graphs += [entry.graph for entry in load_catalog()]
+    for g in graphs:
+        for choose in (None, min, lambda c: rng.choice(c)):
+            residual, _, _, record = g._blow_down(g.ids(), choose)
+            steps = iter(record)
+
+            def follow(candidates):
+                vid, _ = next(steps)
+                assert vid in candidates
+                return vid
+
+            assert contract_oracle(g, follow) == residual
+            assert next(steps, None) is None
+            current = g
+            for vid, incident in record:
+                assert dict(current.neighbors(vid)) == dict(incident)
+                current = blow_down_once(current, vid)
+            assert current == residual

@@ -5,20 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resgraph.graph import DualGraph, Vertex, VertexKind
+from resgraph.graph import DualGraph, Vertex, VertexKind, _pull_back
 from resgraph.linalg import SingularMatrix, UnderdeterminedSystem, solve
-from util import apply, dense_rows, det
+from util import apply, dense_definiteness, dense_kernel_basis, dense_rows, det, inertia
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
 
 @st.composite
-def integral_graphs(draw) -> DualGraph:
-    """Up to 9 complete curves of self-intersection -6..0, any edges among
-    them with multiplicity 1..3, and maybe a transversal germ."""
+def integral_graphs(draw, weights=st.integers(-6, 0)) -> DualGraph:
+    """Up to 9 complete curves of self-intersection -6..0 (or as drawn from
+    ``weights``), any edges among them with multiplicity 1..3, and maybe a
+    transversal germ."""
     n = draw(st.integers(1, 9))
     ids = [f"v{i}" for i in range(n)]
-    vertices = [Vertex(vid, VertexKind.EXCEPTIONAL, draw(st.integers(-6, 0))) for vid in ids]
+    vertices = [Vertex(vid, VertexKind.EXCEPTIONAL, draw(weights)) for vid in ids]
     pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
     edges = draw(st.dictionaries(st.sampled_from(pairs), st.integers(1, 3))) if pairs else {}
     if draw(st.booleans()):
@@ -42,3 +43,24 @@ def test_intersection_rows_match_the_dense_form_and_solve_reproduces_b(g, data):
             solve(m, b)
     else:
         assert apply(m, solve(m, b)) == b
+
+
+@PROPERTY
+@given(integral_graphs(st.sampled_from((-1, -1, -1, -2, -2, -3, 0, 1))), st.data())
+def test_blowing_down_keeps_the_inertia_and_pulls_back_the_kernel(g, data):
+    """Each blow-down is the Schur complement of a -1 pivot (Artin 1962): the
+    residual's complete form has g's kind and corank, one negative square
+    fewer per step, and g's kernel is the pull-back of the residual's."""
+    order = data.draw(st.sampled_from(("stack", "min", "drawn")))
+    choose = {"stack": None, "min": min, "drawn": lambda c: data.draw(st.sampled_from(c))}[order]
+    residual, _, _, record = g._blow_down(g.ids(), choose)
+    form, ids = g.intersection_matrix()
+    rest, rest_ids = residual.intersection_matrix()
+    negative, zero, positive = inertia(rest)
+    assert inertia(form) == (negative + len(record), zero, positive)
+    assert dense_definiteness(form)[:2] == dense_definiteness(rest)[:2]
+    kernel = dense_kernel_basis(rest)
+    assert len(kernel) == zero
+    for v in kernel:
+        z = _pull_back(record, dict(zip(rest_ids, v)))
+        assert apply(form, [z.get(vid, 0) for vid in ids]) == [0] * len(ids)

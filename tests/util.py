@@ -15,7 +15,19 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
-from resgraph.contract import ContractionOutcome, NoCompleteVertices, blow_down_once, classify
+from resgraph.contract import (
+    ContractionOutcome,
+    CurveFiber,
+    DisconnectedGraph,
+    DuValPoint,
+    NoCompleteVertices,
+    NotContractible,
+    RationalPoint,
+    SmoothPoint,
+    blow_down_once,
+    classify,
+    recognize_duval,
+)
 from resgraph.discrepancy import (
     CodiscrepancyResult,
     DiscrepancyError,
@@ -429,6 +441,66 @@ def contract_oracle(g: DualGraph, choose=min) -> DualGraph:
         if not candidates:
             return current
         current = blow_down_once(current, choose(candidates))
+
+
+def classify_oracle(g: DualGraph, choose=min) -> ContractionOutcome:
+    """``classify`` as it was before it blew down first: the dense
+    definiteness of the whole complete form decides the branch, the one-step
+    blow-downs of contract_oracle give the residual, and a fiber's cycle is
+    the dense kernel vector. Checks and messages as in the library."""
+    complete = g.complete_ids()
+    if not complete:
+        raise NoCompleteVertices("no complete vertices to contract")
+    comps = g.components(complete)
+    if len(comps) > 1:
+        named = ", ".join(repr(min(comp)) for comp in comps)
+        raise DisconnectedGraph(
+            f"complete part has {len(comps)} components, at {named}; "
+            "classify each one as its own graph"
+        )
+    matrix, order = g.intersection_matrix()
+    kind, _, kernel = dense_definiteness(matrix)
+    if kind == INDEFINITE:
+        return NotContractible("intersection form is indefinite")
+    residual = contract_oracle(g, choose)
+    rest = residual.complete_ids()
+    if kind == NEGATIVE_DEFINITE:
+        if not rest:
+            return SmoothPoint()
+        ade = recognize_duval(residual, rest)
+        return RationalPoint(residual) if ade is None else DuValPoint(ade)
+    if len(rest) == 1 and residual.vertex(rest[0]).self_int == 0:
+        return CurveFiber(Cycle(dict(zip(order, kernel[0]))))
+    return NotContractible(
+        "semidefinite with positive kernel but blow-down does not end in a zero-curve"
+    )
+
+
+def inertia(M: SymMatrix) -> tuple[int, int, int]:
+    """(negative, zero, positive) eigenvalue counts of a symmetric integer
+    matrix, from its characteristic polynomial (Faddeev-LeVerrier, exact)
+    by Descartes' rule of signs, which is exact when every root is real."""
+    a = [[int(x) for x in row] for row in dense_rows(M)]
+    n = len(a)
+    coeffs = [1]  # det(xI - A), highest power first
+    mk = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        mk = [[sum(a[i][t] * mk[t][j] for t in range(n)) + (coeffs[-1] if i == j else 0)
+               for j in range(n)] for i in range(n)]
+        trace = sum(a[i][t] * mk[t][i] for i in range(n) for t in range(n))
+        if trace % k:
+            raise ArithmeticError("Faddeev-LeVerrier trace not divisible")
+        coeffs.append(-trace // k)
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    zero = next((k for k, c in enumerate(reversed(coeffs)) if c), n)
+    positive = sign_changes(coeffs)
+    negative = sign_changes([c if (n - k) % 2 == 0 else -c for k, c in enumerate(coeffs)])
+    assert negative + zero + positive == n
+    return negative, zero, positive
 
 
 def point_blowups(rng: random.Random, base: DualGraph, k: int, prefix: str = "x") -> DualGraph:
