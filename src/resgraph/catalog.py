@@ -320,10 +320,11 @@ class EntryChecker:
         return self._pullbacks[name]
 
     def pins(self) -> dict[str, Fraction]:
+        """The ``pinned`` cycle as written, a curve written with 0 included."""
         pinned = self.entry.cycles.get("pinned")
         if pinned is None:
             raise CatalogError(f"{self.entry.name}: no pinned cycle")
-        return dict(pinned.coefficients)
+        return {vid: pinned.coeff(vid) for vid in pinned._named}
 
     def implied_start(self) -> Fraction:
         roots = self.g.labeled(ROLE_TAIL_ROOT)

@@ -52,7 +52,7 @@ class CodiscrepancyResult(NamedTuple):
         vals = dict(values)
         return cls(
             values=vals,
-            all_nonnegative=all(v >= 0 for v in vals.values()),
+            all_nonnegative=all(v.numerator >= 0 for v in vals.values()),
             max_denominator=max((v.denominator for v in vals.values()), default=1),
         )
 
@@ -263,10 +263,11 @@ def mumford_pullback(
     canonical term. The subset defaults to every complete vertex.
     """
     ids = list(g.complete_ids() if subset is None else subset)
+    known = attached.coefficients  # the nonzero coefficients only
     for vid in ids:
-        if attached.coeff(vid) != 0:
+        if vid in known:
             raise DiscrepancyError(f"attached cycle meets the subset at {vid!r}")
-    return Cycle(_solve_subset(g, ids, attached.coefficients, False))
+    return Cycle(_solve_subset(g, ids, known, False))
 
 
 def numerically_trivial(g: DualGraph, z: Cycle) -> bool:

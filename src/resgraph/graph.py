@@ -14,6 +14,7 @@ immutable after construction, so every derived computation is pure.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, insort
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -253,18 +254,19 @@ class DualGraph:
         A step, O(deg^2), raises each complete neighbour by m^2 and joins each
         pair by m_a m_b: the Schur complement of a -1 pivot, so the complete
         form keeps its kind and corank and loses a negative square (Artin
-        1962). ``choose`` picks from the sorted (-1)-curves and must return
-        one of them; without it they come off a stack.
+        1962). The (-1)-curves are kept sorted as they change: ``choose``
+        gets a copy of that list and must return one of them (the caller
+        holds it to that), and without it the largest comes off first.
         """
         weight, nbrs = self._int_view(ids)
-        minus = [vid for vid, w in weight.items() if w == -1]
+        minus = sorted(vid for vid, w in weight.items() if w == -1)
         record = []
         while minus:
             if choose is None:
                 vid = minus.pop()
             else:
-                vid = choose(sorted(minus))
-                minus.remove(vid)
+                vid = choose(minus[:])
+                del minus[bisect_left(minus, vid)]
             del weight[vid]
             incident = list(nbrs.pop(vid).items())
             record.append((vid, incident))
@@ -273,10 +275,10 @@ class DualGraph:
                 w = weight[a]
                 if w is not None:  # a transversal germ has no weight to raise
                     if w == -1:
-                        minus.remove(a)
+                        del minus[bisect_left(minus, a)]
                     weight[a] = w = w + ma * ma
                     if w == -1:
-                        minus.append(a)
+                        insort(minus, a)
                 for b, mb in incident[i + 1:]:
                     nbrs[a][b] = nbrs[b][a] = nbrs[a].get(b, 0) + ma * mb
         if not record:
@@ -300,13 +302,17 @@ _ZERO = Fraction(0)  # shared: a Fraction is immutable
 
 class Cycle(Value):
     """A formal rational combination of vertices; ids absent from the map
-    have coefficient zero."""
+    have coefficient zero. The map keeps the nonzero coefficients only; the
+    private ``_named`` keeps every id given, in order, so that a cycle read
+    as a map of pinned values keeps a pin of 0, and ``serialize`` writes it."""
 
-    __slots__ = ("coefficients",)
+    __slots__ = ("coefficients", "_named")
 
     def __init__(self, coefficients: Mapping[str, Fraction] | None = None):
-        clean = {k: q for k, v in (coefficients or {}).items() if (q := rational(v))}
+        given = coefficients or {}
+        clean = {k: q for k, v in given.items() if (q := rational(v))}
         object.__setattr__(self, "coefficients", clean)
+        object.__setattr__(self, "_named", tuple(given))
 
     def coeff(self, vid: str) -> Fraction:
         return self.coefficients.get(vid, _ZERO)
@@ -433,6 +439,15 @@ def parse(text: str) -> ParseResult:
                 raise DslSyntaxError(
                     lineno, f"complete vertex {vid!r} needs self-intersection <= -1"
                 )
+            # ``DualGraph`` checks these too, without a line to name: a token
+            # holds no whitespace or "#", but an id can hold "," or "=", and
+            # a label can be empty
+            if not _ID_TOKEN.fullmatch(vid):
+                raise BadToken(
+                    f"line {lineno}: vertex id {vid!r} cannot be written in the text format"
+                )
+            if label == "":
+                raise BadToken(f"line {lineno}: label '' cannot be written in the text format")
             seen.add(vid)
             vertices.append(Vertex(vid, kind, self_int, label))
 
@@ -512,7 +527,8 @@ def serialize(
 ) -> str:
     """Render a graph (plus optional cycles and expectations) in the text
     format: vertices in input order, edges sorted lexicographically, cycles
-    sorted by name. parse(serialize(...)) reproduces the same graph.
+    sorted by name, each with every id it was given (a 0 too) in vertex
+    order. parse(serialize(...)) reproduces the same graph.
 
     The format holds a complete curve of self-intersection -1 or less only
     (``parse`` rejects any other), so a graph with one, a fiber residual
@@ -543,7 +559,7 @@ def serialize(
         z = (cycles or {})[cname]
         body = ", ".join(
             f"{vid}={format_rational(z.coeff(vid))}"
-            for vid in sorted(z.support(), key=lambda x: order[x])
+            for vid in sorted(z._named, key=lambda x: order[x])
         )
         out.append(f"cycle {cname}: {body}")
     for key, value in expects or []:

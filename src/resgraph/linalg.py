@@ -47,7 +47,8 @@ class Value:
     """Base of resgraph's immutable value classes.
 
     A subclass names its fields, in order, as its own ``__slots__`` and sets
-    them in ``__init__`` with ``object.__setattr__``. It then compares equal
+    them in ``__init__`` with ``object.__setattr__``; a slot whose name
+    starts with ``_`` is private, not a field. It then compares equal
     only to an instance of the same class with equal fields, hashes its
     fields (a TypeError when one is unhashable), has the repr
     ``Name(field=value, ...)``, and raises AttributeError on any assignment.
@@ -56,7 +57,7 @@ class Value:
     __slots__ = ()
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -67,7 +68,9 @@ class Value:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        body = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_"
+        )
         return f"{type(self).__qualname__}({body})"
 
     def __setattr__(self, name, value):
@@ -169,16 +172,18 @@ def _eliminate(
     operations on the right-hand side b (zero when not given).
 
     Each row i is held as integers, R_i and its right-hand side B_i: row i
-    of M and b_i times the lcm of their denominators. When M and b are
-    integral (an intersection form and a canonical right-hand side are),
-    every lcm is 1 and the rows are copied as they are. A step (r, c) uses
-    row r, pivot p = R_r[c], to clear column c from each other row i as
-    R_i := (|p|/g) R_i - sgn(p) (R_i[c]/g) R_r with g = gcd(p, R_i[c]); a
-    row so scaled by more than 1 is then divided, with B_i, by its content
-    gcd (fraction-free elimination, Bareiss 1968, with gcds in place of the
-    exact division). Every R_i stays a positive multiple of the row rational
-    elimination would hold, so the zero pattern, the pivot order and the
-    pivot signs are the same.
+    of M and b_i times the lcm of their denominators. When M is integral
+    (an intersection form is), that lcm is the denominator of b_i: a row
+    whose b_i is an integer, an ``int`` or a Fraction of denominator 1
+    (every row of a canonical right-hand side, and of a pinned one all but
+    the rows next to a pin), is copied as it is, and only the others are
+    scaled. A step (r, c) uses row r, pivot p = R_r[c], to clear column c
+    from each other row i as R_i := (|p|/g) R_i - sgn(p) (R_i[c]/g) R_r
+    with g = gcd(p, R_i[c]); a row so scaled by more than 1 is then
+    divided, with B_i, by its content gcd (fraction-free elimination,
+    Bareiss 1968, with gcds in place of the exact division). Every R_i
+    stays a positive multiple of the row rational elimination would hold,
+    so the zero pattern, the pivot order and the pivot signs are the same.
 
     Pivots are nonzero diagonal entries of minimum current row length (ties
     to the smaller index); on a forest that peels leaves, a perfect
@@ -192,15 +197,18 @@ def _eliminate(
     n = M.dimension
     if b is None:
         b = [0] * n
-    if M._integral and all(type(q) is int for q in b):
-        rows = [dict(row) for row in M._rows]
-        rhs = list(b)
-    else:
+    if not M._integral:
         rows, rhs = [], []
         for row, q in zip(M._rows, b):
             scale = lcm(q.denominator, *map(_denominator, row.values()))
             rows.append({j: v.numerator * (scale // v.denominator) for j, v in row.items()})
             rhs.append(q.numerator * (scale // q.denominator))
+    else:
+        rows = [
+            dict(row) if (d := q.denominator) == 1 else {j: v * d for j, v in row.items()}
+            for row, q in zip(M._rows, b)
+        ]
+        rhs = [q.numerator for q in b]
     active = [True] * n
     steps: list[tuple[int, int]] = []
     heap = sorted((len(row), i) for i, row in enumerate(rows) if i in row)  # a heap

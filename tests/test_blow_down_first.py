@@ -207,6 +207,22 @@ def test_no_elimination_is_larger_than_the_residual(monkeypatch):
 # -- the record, replayed ---------------------------------------------------
 
 
+def test_choose_gets_its_own_sorted_list_of_the_current_candidates():
+    # the oracle rebuilds the graph and rescans every curve after each step
+    for g in blowups("candidates", 18, 60):
+        seen, want = [], []
+
+        def spy(candidates):
+            seen.append(list(candidates))
+            vid = candidates[len(candidates) // 2]
+            candidates.clear()  # the list is choose's to keep
+            return vid
+
+        residual = g._blow_down(g.ids(), spy)[0]
+        assert contract_oracle(g, lambda c: want.append(c) or c[len(c) // 2]) == residual
+        assert seen == want
+
+
 def test_the_blow_down_record_replays_through_blow_down_once():
     rng = random.Random("replay")
     graphs = blowups("replay", 18, 50) + [with_germ(rng, g) for g in blowups("replay-germs", 9, 30)]

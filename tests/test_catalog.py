@@ -274,6 +274,24 @@ def test_negative_tail_start_is_the_rejection_rule(o, start):
     assert record.actual == ("false" if start is None else "true")
 
 
+# A pin of 0 is a pin, though the cycle that holds it drops the 0: a lone
+# (-3)-curve solves to 1/3, so a pin at 0 is inconsistent; with r and o
+# pinned at 0 the tail start on TAIL is 0 - (3 * 0 - 1 - 0) = 1.
+@pytest.mark.parametrize(
+    "text, pins",
+    [
+        ("graph g\nv a -3\ncycle pinned: a=0\nexpect pinned_consistent = false\n", {"a": 0}),
+        (TAIL + "cycle pinned: r=0, o=0\nexpect implied_tail_start = 1\n", {"r": 0, "o": 0}),
+    ],
+)
+def test_a_pin_of_zero_is_kept(text, pins):
+    checker = _checker(text)
+    assert checker.entry.cycles["pinned"].coefficients == {}
+    assert checker.pins() == pins
+    (record,) = checker.run_all()
+    assert record.passed, record
+
+
 def test_negative_tail_start_is_none_without_a_pinned_tail():
     assert _checker(TAIL).negative_tail_start() is None  # no pinned cycle
     assert _checker(TAIL.replace(" label=tail-root", "")).negative_tail_start() is None

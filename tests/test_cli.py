@@ -118,6 +118,24 @@ def test_codisc_confirms_only_a_negative_tail_start(tmp_path, capsys, o, code):
     assert ("rejection confirmed: implied tail start -1/2 < 0" in out) == (code == 1)
 
 
+@pytest.mark.parametrize(
+    "text, check",
+    [
+        ("graph g\nv a -3\ncycle pinned: a=0\nexpect pinned_consistent = false\n",
+         "pinned_consistent: expected false, got false"),
+        ("graph g\nv r -3 label=tail-root\nv o -2\nv t -2\ne r o\ne r t\n"
+         "cycle pinned: r=0, o=0\nexpect implied_tail_start = 1\n",
+         "implied_tail_start: expected 1, got 1"),
+    ],
+)
+def test_codisc_keeps_a_pin_of_zero(tmp_path, capsys, text, check):
+    path = tmp_path / "zero-pin.dg"
+    path.write_text(text)
+    code, out, err = run(capsys, "codisc", str(path))
+    assert (code, err) == (0, "")
+    assert f"pass  {check}" in out
+
+
 def test_codisc_include_central(capsys):
     code, out, _ = run(
         capsys, "codisc", fixture("classification/d4-target"), "--include-central"

@@ -104,6 +104,9 @@ HEAD = "graph g\nv a -2\nv b -2\n"  # lines 1-3
         (HEAD + "cycle z: a=1/0\n", DslSyntaxError, 4),
         (HEAD + "expect outcome\n", DslSyntaxError, 4),
         (HEAD + "expect = SmoothPoint\n", DslSyntaxError, 4),
+        (HEAD + "v b,c -2\n", BadToken, 4),
+        ("graph g\nv a=b ~\n", BadToken, 2),
+        (HEAD + "v c -2 label=\n", BadToken, 4),
     ],
 )
 def test_parse_error_class_and_line(text, error, line):

@@ -28,6 +28,7 @@ from util import (
     dense_kernel_basis,
     dense_rows,
     dense_solve,
+    lcm_rows,
     negated,
     pd_by_leading_minors,
     permuted,
@@ -322,6 +323,28 @@ def test_solvers_are_bit_identical_whichever_constructor_and_rhs_type(seed):
         assert kernel_basis(m) == kernel_basis(checked)
         kinds.add(found[0].kind)
     assert NEGATIVE_DEFINITE in kinds and NEGATIVE_SEMIDEFINITE in kinds
+
+
+def test_integral_rows_under_a_rational_rhs_eliminate_as_the_lcm_setup():
+    # a pinned solve: the rows next to a pin carry its denominator in b, the
+    # others an int or a Fraction of denominator 1
+    rng = random.Random("rows")
+    for n in (1, 2, 5, 20, 60):
+        for _ in range(5):
+            g = random_tree_graph(rng, n)
+            ids = g.ids()
+            pins = {vid: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                    for vid in rng.sample(ids, rng.randint(0, n // 2))}
+            unknowns = [vid for vid in ids if vid not in pins]
+            m, order = g.intersection_matrix(unknowns)
+            b = []
+            for vid in order:
+                c = 2 + g.vertex(vid).self_int
+                for other, mult in g.neighbors(vid):
+                    if other in pins:
+                        c -= mult * pins[other]
+                b.append(c if rng.random() < 0.5 else Fraction(c))
+            assert linalg._eliminate(m, b) == linalg._eliminate(*lcm_rows(m, b))
 
 
 def test_solve_large_tree_and_chain_residuals():

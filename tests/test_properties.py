@@ -1,13 +1,23 @@
 """Property tests. Each runs a fixed sequence of examples (derandomize=True,
 no example database), so the suite stays deterministic."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resgraph.graph import DualGraph, Vertex, VertexKind, _pull_back
+from resgraph.graph import Cycle, DualGraph, Vertex, VertexKind, _pull_back, parse, serialize
 from resgraph.linalg import SingularMatrix, UnderdeterminedSystem, solve
-from util import apply, dense_definiteness, dense_kernel_basis, dense_rows, det, inertia
+from util import (
+    apply,
+    dense_definiteness,
+    dense_kernel_basis,
+    dense_rows,
+    dense_solve,
+    det,
+    inertia,
+)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -64,3 +74,63 @@ def test_blowing_down_keeps_the_inertia_and_pulls_back_the_kernel(g, data):
     for v in kernel:
         z = _pull_back(record, dict(zip(rest_ids, v)))
         assert apply(form, [z.get(vid, 0) for vid in ids]) == [0] * len(ids)
+
+
+# ints, Fractions of denominator 1, and others, as a pinned solve mixes them
+MIXED_RATIONALS = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(-9, 9, max_denominator=12),
+)
+
+
+@PROPERTY
+@given(integral_graphs(), st.data())
+def test_solve_with_a_mixed_rational_rhs_matches_the_dense_oracle(g, data):
+    m, order = g.intersection_matrix()
+    b = data.draw(st.lists(MIXED_RATIONALS, min_size=len(order), max_size=len(order)))
+    try:
+        want = dense_solve(m, b)
+    except (SingularMatrix, UnderdeterminedSystem) as exc:
+        with pytest.raises(type(exc)):
+            solve(m, b)
+    else:
+        assert solve(m, b) == want
+
+
+# Tokens the text format holds: no whitespace or "#", and in an id no "," or "="
+ID_TOKENS = st.text("ab~:-+.019", min_size=1, max_size=3)
+NAME_TOKENS = st.text("ab~:-+.019=,", min_size=1, max_size=3)
+
+
+@st.composite
+def text_graphs(draw) -> tuple[DualGraph, dict[str, Cycle]]:
+    """Up to 8 curves, complete (``exc`` or ``cen``, self-intersection -1 or
+    less) or transversal, some labelled; any edges, of multiplicity 1..3,
+    among them; and up to 3 named cycles of rational coefficients, some 0."""
+    ids = draw(st.lists(ID_TOKENS, min_size=1, max_size=8, unique=True))
+    kinds = st.sampled_from(list(VertexKind))
+    vertices = []
+    for vid in ids:
+        kind = draw(kinds)
+        weight = None if kind is VertexKind.TRANSVERSAL else draw(st.integers(-6, -1))
+        vertices.append(Vertex(vid, kind, weight, draw(st.none() | NAME_TOKENS)))
+    pairs = [(a, b) if a <= b else (b, a) for i, a in enumerate(ids) for b in ids[i + 1:]]
+    edges = draw(st.dictionaries(st.sampled_from(pairs), st.integers(1, 3))) if pairs else {}
+    values = st.just(Fraction(0)) | st.fractions(-9, 9, max_denominator=6)
+    coefficients = st.dictionaries(st.sampled_from(ids), values)
+    cycles = draw(st.dictionaries(st.text("xyz", min_size=1, max_size=2), coefficients, max_size=3))
+    graph = DualGraph(draw(NAME_TOKENS), vertices, edges)
+    return graph, {name: Cycle(z) for name, z in cycles.items()}
+
+
+@PROPERTY
+@given(text_graphs())
+def test_parse_reads_back_what_serialize_writes(case):
+    g, cycles = case
+    again = parse(serialize(g, cycles))
+    assert again.graph == g and again.cycles == cycles
+    # == does not see the ids written with 0, which a cycle keeps as pins
+    assert {n: set(z._named) for n, z in again.cycles.items()} == {
+        n: set(z._named) for n, z in cycles.items()
+    }

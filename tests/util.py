@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Callable, Mapping, Sequence
 
 from resgraph.contract import (
@@ -189,6 +190,22 @@ def dense_solve(M: SymMatrix, b: list[Fraction]) -> list[Fraction]:
             s -= aug[r][j] * x[j]
         x[c] = s / aug[r][c]
     return x
+
+
+def lcm_rows(M: SymMatrix, b: Sequence) -> tuple[SymMatrix, list[int]]:
+    """The integer rows and right-hand side the elimination kernel starts
+    from, set up the one way it once did for any M and b: row i of M and
+    b_i times the lcm of all their denominators. The rows come wrapped as an
+    integral matrix, unchecked: scaled rows are no longer symmetric, but
+    their zero pattern is, and that is the only symmetry the kernel needs."""
+    rows, rhs = [], []
+    for i in range(M.dimension):
+        entries = {j: Fraction(v) for j, v in M._rows[i].items()}
+        q = Fraction(b[i])
+        scale = lcm(q.denominator, *(v.denominator for v in entries.values()))
+        rows.append({j: int(v * scale) for j, v in entries.items()})
+        rhs.append(int(q * scale))
+    return SymMatrix._of_rows(tuple(rows), True), rhs
 
 
 def dense_kernel_basis(M: SymMatrix) -> list[list[int]]:
