@@ -139,14 +139,16 @@ def blow_down_once(g: DualGraph, vid: str) -> DualGraph:
     return DualGraph(g.name, vertices, edges)
 
 
-def _residual(g: DualGraph, choose: Callable[[list[str]], str]) -> tuple:
-    """``DualGraph._blow_down`` of all of g, with ``choose`` held to the candidates."""
+def _residual(g: DualGraph, choose: Callable[[list[str]], str]) -> tuple[DualGraph, list]:
+    """The graph ``DualGraph._blow_down`` leaves of all of g (g itself if
+    nothing contracts) and its record, with ``choose`` held to the candidates."""
     def pick(candidates: list[str]) -> str:
         if (vid := choose(candidates)) not in candidates:
             raise NotMinusOne(f"{vid!r} is not a complete (-1)-curve")
         return vid
 
-    return g._blow_down(g.ids(), pick)
+    weight, nbrs, record = g._blow_down(g.ids(), pick)
+    return (g._from_view(weight, nbrs) if record else g), record
 
 
 def contract_minus_ones(g: DualGraph, choose: Callable[[list[str]], str] = min) -> DualGraph:
@@ -259,7 +261,7 @@ def classify(
             f"complete part has {len(comps)} components, at {named}; "
             "classify each one as its own graph"
         )
-    residual, _, _, record = _residual(g, choose)
+    residual, record = _residual(g, choose)
     defres = complete_definiteness(residual)
     rest = residual.complete_ids()
 

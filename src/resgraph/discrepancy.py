@@ -7,17 +7,22 @@ mu* K = K + Theta; its coefficients solve the linear system
 
     sum_i theta_i (E_i . E_j) = 2 + E_j^2        for every exceptional j.
 
-Everything here is exact; a solved system either reproduces a printed value
-bit-for-bit or the configuration is wrong.
+The free, pinned and pull-back solves share one subset solve, which blows
+down the (-1)-curves among its unknowns first and eliminates only the
+residual: on a blow-up K_X = pi* K_Y + E (Artin 1962), so the values of the
+curves blown down follow from the ones left. Everything here is exact; a
+solved system either reproduces a printed value bit-for-bit or the
+configuration is wrong.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
-from .graph import Cycle, DualGraph, _pull_back, cycle_dot
-from .linalg import LinAlgError, definiteness, rational, solve
+from .graph import Cycle, DualGraph, _pull_back, _view_form, cycle_dot
+from .linalg import LinAlgError, UnderdeterminedSystem, _eliminate, definiteness, rational, solve
 
 
 class DiscrepancyError(Exception):
@@ -69,25 +74,56 @@ def _solve_subset(
 
     and B . E_j only sees the known neighbours of j. Only edges inside
     ``unknowns`` enter the matrix.
+
+    The (-1)-curves among the unknowns are blown down first, carrying the
+    right-hand side (``DualGraph._blow_down``), so only the residual is
+    eliminated; each d_E is then pulled back in integers over one common
+    denominator. A subset with no (-1)-curve is solved as it stands.
     """
     if not unknowns:
         return {}
-    matrix, order = g.intersection_matrix(unknowns)
-    # intersection_matrix checked every id, so the graph's maps are read
-    # directly
     by_id, adjacency = g._by_id, g._adjacency
-    rhs = []
-    for vid in order:
-        c = 2 + by_id[vid].self_int if canonical else 0
+    rhs, minus = {}, False
+    for vid in unknowns:
+        v = by_id.get(vid)
+        if v is None or (w := v.self_int) is None:
+            break
+        if w == -1:
+            minus = True
+        c = 2 + w if canonical else 0
         if known:
             for other, mult in adjacency[vid]:
                 if other in known:
                     c -= mult * known[other]
-        rhs.append(c)
+        rhs[vid] = c
+    if not minus or len(rhs) != len(unknowns):
+        # a bad id or a repeated one is raised here, as intersection_matrix names it
+        matrix, order = g.intersection_matrix(unknowns)
+        record = []
+    else:
+        weight, nbrs, record = g._blow_down(unknowns, rhs=rhs)
+        matrix, order = _view_form(weight, nbrs)
     try:
-        return dict(zip(order, solve(matrix, rhs)))
+        theta = dict(zip(order, solve(matrix, [rhs[vid] for vid in order])))
     except LinAlgError as exc:
-        raise SingularConfiguration(str(exc)) from exc
+        message = str(exc)
+        if record and isinstance(exc, UnderdeterminedSystem):
+            # each blow-down is a -1 pivot, so the whole system's rank is the
+            # residual's plus one per step; solve words it so
+            rank = len(_eliminate(matrix)[2]) + len(record)
+            message = f"rank {rank} < {len(unknowns)}: solutions exist but are not unique"
+        raise SingularConfiguration(message) from exc
+    if not record:
+        return theta
+    # d_E = sum m_a d_a - b_E, last step first, on numerators over one denominator
+    carried = {vid: rhs[vid] for vid, _ in record}
+    den = lcm(*(q.denominator for q in theta.values()), *(q.denominator for q in carried.values()))
+    nums = _pull_back(
+        record,
+        {vid: q.numerator * (den // q.denominator) for vid, q in theta.items()},
+        {vid: q.numerator * (den // q.denominator) for vid, q in carried.items()},
+    )
+    return {vid: theta[vid] if vid in theta else Fraction(nums[vid], den) for vid in unknowns}
 
 
 def codiscrepancies(
@@ -210,9 +246,9 @@ def fundamental_cycle(
         raise EmptySubset("empty subset")
     if len(g.components(ids)) != 1:
         raise DiscrepancyError("fundamental cycle needs a connected configuration")
-    residual, weight, nbrs, record = g._blow_down(ids)
+    weight, nbrs, record = g._blow_down(ids)
     # a transversal germ is never blown down, so this names the first one
-    if not definiteness(residual.intersection_matrix(list(weight))[0]).is_negative_definite:
+    if not definiteness(_view_form(weight, nbrs)[0]).is_negative_definite:
         raise NotNegativeDefinite("configuration is not negative definite")
     if not weight:  # the last curve blown down is the residual then
         vid = record.pop()[0]

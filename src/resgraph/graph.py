@@ -243,27 +243,42 @@ class DualGraph:
         """Mutable plain copies of the self-intersections of the given
         vertices and of their {neighbour: multiplicity} maps among them."""
         weight = {vid: self._by_id[vid].self_int for vid in ids}
-        nbrs = {vid: {w: m for w, m in self._adjacency[vid] if w in weight} for vid in weight}
+        adjacency = self._adjacency
+        if len(weight) == len(adjacency):  # the whole graph: nothing to filter
+            return weight, {vid: dict(adjacency[vid]) for vid in weight}
+        nbrs = {vid: {w: m for w, m in adjacency[vid] if w in weight} for vid in weight}
         return weight, nbrs
 
-    def _blow_down(self, ids: Iterable[str], choose: Callable[[list[str]], str] | None = None):
-        """Blow down the complete (-1)-curves of ``_int_view(ids)``: the graph
-        left (this one if none was), that view, and the record of (curve,
-        [(neighbour, multiplicity), ...]) per step.
+    def _blow_down(
+        self,
+        ids: Iterable[str],
+        choose: Callable[[list[str]], str] | None = None,
+        rhs: dict[str, Fraction | int] | None = None,
+    ) -> tuple[dict, dict[str, dict[str, int]], list]:
+        """Blow down the complete (-1)-curves of ``_int_view(ids)``: the view
+        left, and the record of (curve, [(neighbour, multiplicity), ...]) per
+        step.
 
         A step, O(deg^2), raises each complete neighbour by m^2 and joins each
         pair by m_a m_b: the Schur complement of a -1 pivot, so the complete
         form keeps its kind and corank and loses a negative square (Artin
-        1962). The (-1)-curves are kept sorted as they change: ``choose``
-        gets a copy of that list and must return one of them (the caller
-        holds it to that), and without it the largest comes off first.
+        1962). A right-hand side ``rhs`` of M x = b on the view is carried
+        along: a step on E adds m_a b_E to each b_a, and ``_pull_back`` with
+        it recovers x_E = sum m_a x_a - b_E. With a ``choose``, the
+        (-1)-curves are kept sorted as they change, and ``choose`` gets a
+        copy of that list and must return one of them (the caller holds it
+        to that); without one they come off a stack.
         """
         weight, nbrs = self._int_view(ids)
-        minus = sorted(vid for vid, w in weight.items() if w == -1)
+        minus = [vid for vid, w in weight.items() if w == -1]
+        if choose is not None:
+            minus.sort()
         record = []
         while minus:
             if choose is None:
                 vid = minus.pop()
+                if weight[vid] != -1:  # raised since it was pushed
+                    continue
             else:
                 vid = choose(minus[:])
                 del minus[bisect_left(minus, vid)]
@@ -274,26 +289,55 @@ class DualGraph:
                 del nbrs[a][vid]
                 w = weight[a]
                 if w is not None:  # a transversal germ has no weight to raise
-                    if w == -1:
+                    if w == -1 and choose is not None:
                         del minus[bisect_left(minus, a)]
                     weight[a] = w = w + ma * ma
                     if w == -1:
-                        insort(minus, a)
+                        if choose is None:
+                            minus.append(a)
+                        else:
+                            insort(minus, a)
+                    if rhs is not None:
+                        rhs[a] += ma * rhs[vid]
                 for b, mb in incident[i + 1:]:
                     nbrs[a][b] = nbrs[b][a] = nbrs[a].get(b, 0) + ma * mb
-        if not record:
-            return self, weight, nbrs, record
+        return weight, nbrs, record
+
+    def _from_view(self, weight: dict, nbrs: dict[str, dict[str, int]]) -> "DualGraph":
+        """The graph of a view that ``_blow_down`` left: the vertices still in
+        it, with their weights there, and its edges."""
         vertices = [Vertex(v.id, v.kind, weight[v.id], v.label) for v in self.vertices if v.id in weight]
         edges = {(a, b): m for a, row in nbrs.items() for b, m in row.items() if a < b}
-        return DualGraph(self.name, vertices, edges), weight, nbrs, record
+        return DualGraph(self.name, vertices, edges)
 
 
-def _pull_back(record: list, coeffs: dict[str, int]) -> dict[str, int]:
+def _view_form(weight: dict, nbrs: dict[str, dict[str, int]]) -> tuple[SymMatrix, list[str]]:
+    """The intersection form of a view, in its order, as
+    ``intersection_matrix`` builds it; a transversal germ in the view is
+    named as there."""
+    order = list(weight)
+    index = {vid: i for i, vid in enumerate(order)}
+    rows = []
+    for i, vid in enumerate(order):
+        if (w := weight[vid]) is None:
+            raise TransversalInSubset(f"{vid!r} is transversal")
+        row = {index[b]: m for b, m in nbrs[vid].items()}
+        if w:
+            row[i] = w
+        rows.append(row)
+    return SymMatrix._of_rows(tuple(rows), True), order
+
+
+def _pull_back(record: list, coeffs: dict, rhs: Mapping | None = None) -> dict:
     """Extend a cycle on the residual of ``DualGraph._blow_down`` to its
     total transform, last step first: a contracted curve E gets the sum of
-    m_a z_a over the curves it met. Transversal germs count as zero."""
+    m_a z_a over the curves it met, less rhs[E] for the right-hand side the
+    steps carried. Transversal germs count as zero."""
     for vid, incident in reversed(record):
-        coeffs[vid] = sum(m * coeffs.get(a, 0) for a, m in incident)
+        z = 0 if rhs is None else -rhs[vid]
+        for a, m in incident:  # a loop, not sum(): most curves meet one or two
+            z += m * coeffs.get(a, 0)
+        coeffs[vid] = z
     return coeffs
 
 

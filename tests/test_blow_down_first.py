@@ -1,14 +1,17 @@
-"""``classify`` and ``fundamental_cycle`` blow down every (-1)-curve before
-any linear algebra, and work on the residual. These tests hold them to the
-old whole-form computations (``classify_oracle``, ``laufer_oracle``), count
+"""``classify``, ``fundamental_cycle`` and the subset solve behind
+``codiscrepancies``, ``pinned_codiscrepancies`` and ``mumford_pullback`` blow
+down every (-1)-curve before any linear algebra, and work on the residual.
+These tests hold them to the old whole-form computations
+(``classify_oracle``, ``laufer_oracle``, a solve of the whole subset), count
 the size of what they eliminate, and replay the blow-down record through the
 one-step reference ``blow_down_once``."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from resgraph import linalg
+from resgraph import discrepancy, linalg
 from resgraph.catalog import load_catalog
 from resgraph.contract import (
     ContractionError,
@@ -19,8 +22,15 @@ from resgraph.contract import (
     classify,
     contract_minus_ones,
 )
-from resgraph.discrepancy import DiscrepancyError, fundamental_cycle
-from resgraph.graph import DualGraph, GraphError, Vertex, VertexKind, parse
+from resgraph.discrepancy import (
+    DiscrepancyError,
+    SingularConfiguration,
+    codiscrepancies,
+    fundamental_cycle,
+    mumford_pullback,
+    pinned_codiscrepancies,
+)
+from resgraph.graph import Cycle, DualGraph, GraphError, Vertex, VertexKind, parse
 from util import (
     ade_graph,
     classify_oracle,
@@ -29,6 +39,7 @@ from util import (
     point_blowups,
     random_cyclic_graph,
     random_tree_graph,
+    subset_system,
 )
 
 SMOOTH = DualGraph("smooth", [], {})
@@ -171,8 +182,9 @@ def test_fundamental_cycle_equals_the_oracle_on_every_error():
 
 
 def test_no_elimination_is_larger_than_the_residual(monkeypatch):
-    dims, kernels = [], []
+    dims, kernels, raised, builds = [], [], [], []
     eliminate, kernel_basis = linalg._eliminate, linalg.kernel_basis
+    solve, init = discrepancy.solve, DualGraph.__init__
 
     def counting_eliminate(M, b=None):
         dims.append(M.dimension)
@@ -182,8 +194,21 @@ def test_no_elimination_is_larger_than_the_residual(monkeypatch):
         kernels.append(M.dimension)
         return kernel_basis(M)
 
+    def counting_solve(M, b):
+        try:
+            return solve(M, b)
+        except linalg.LinAlgError:
+            raised.append(M.dimension)
+            raise
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args[0])
+        init(self, *args, **kwargs)
+
     monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
     monkeypatch.setattr(linalg, "kernel_basis", counting_kernel_basis)
+    monkeypatch.setattr(discrepancy, "solve", counting_solve)
+    monkeypatch.setattr(DualGraph, "__init__", counting_init)
     rng = random.Random("counting")
     for base in BASES:
         g = point_blowups(rng, base, 80)
@@ -192,17 +217,77 @@ def test_no_elimination_is_larger_than_the_residual(monkeypatch):
         dims.clear()
         kernels.clear()
         out = classify(g)
+        builds.clear()
         if base is FIBER:
             assert isinstance(out, CurveFiber)
             assert kernels == [1]
+            with pytest.raises(SingularConfiguration, match="no solution"):
+                codiscrepancies(g)
+            assert raised == [1]  # solve raised, on the residual 0-curve
+            with pytest.raises(DiscrepancyError, match="not negative definite"):
+                fundamental_cycle(g)
         else:
+            codiscrepancies(g)
             fundamental_cycle(g)
             assert kernels == []
-        assert dims and max(dims) <= n, base.name
+        # codiscrepancies and fundamental_cycle build no residual graph
+        assert dims and max(dims) <= n and builds == [], base.name
+    assert raised == [1]
     dims.clear()
-    linalg.definiteness(g.intersection_matrix()[0])  # the counter is live
-    assert dims == [len(g.ids())]
+    linalg.definiteness(g.intersection_matrix()[0])  # the counters are live
+    DualGraph("live", [], {})
+    assert dims == [len(g.ids())] and builds == ["live"]
 
+
+def whole_subset_solve(g, unknowns, known, canonical):
+    """The subset solve as it was before blow-down first: ``solve`` on the
+    whole subset's form."""
+    try:
+        return dict(zip(unknowns, linalg.solve(*subset_system(g, unknowns, known, canonical))))
+    except linalg.LinAlgError as exc:
+        return SingularConfiguration, str(exc)
+
+
+def test_subset_solves_on_blowups_equal_the_whole_subset_solve():
+    rng = random.Random("whole-subset")
+    graphs = blowups("whole-subset", 18) + [with_germ(rng, g) for g in blowups("whole-germs", 9)]
+    for g in graphs:
+        exc = g.exceptional_ids()
+        pins = {vid: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for vid in rng.sample(exc, 3)}
+        attached = {"t": Fraction(1)} if "t" in g.ids() else {exc[0]: Fraction(3, 2)}
+        subset = [vid for vid in g.complete_ids() if vid not in attached]
+        free = whole_subset_solve(g, exc, {}, True)
+        pinned = whole_subset_solve(g, [vid for vid in exc if vid not in pins], pins, True)
+        pulled = whole_subset_solve(g, subset, attached, False)
+        assert result_or_error(lambda: codiscrepancies(g).values) == free
+        assert result_or_error(lambda: pinned_codiscrepancies(g, pins).values) == (
+            {**pins, **pinned} if isinstance(pinned, dict) else pinned
+        )
+        assert result_or_error(mumford_pullback, g, Cycle(attached), subset) == (
+            Cycle(pulled) if isinstance(pulled, dict) else pulled
+        )
+
+
+def test_a_bad_subset_raises_what_intersection_matrix_raises():
+    # every subset below holds the (-1)-curve b, so it would be blown down;
+    # d, outside them all, carries the pin and the attached cycle
+    exc = VertexKind.EXCEPTIONAL
+    vertices = [Vertex(vid, exc, w) for vid, w in zip("abcd", (-2, -1, -3, -2))]
+    vertices.append(Vertex("t", VertexKind.TRANSVERSAL, None))
+    g = DualGraph("g", vertices, [("a", "b"), ("b", "t"), ("b", "d")])
+    subsets = [
+        ["a", "b", "nope", "t"],
+        ["a", "b", "t", "nope"],
+        ["b", "t", "b"],
+        ["b", "nope", "b"],
+        ["b", "c", "a", "c"],
+    ]
+    for subset in subsets:
+        want = result_or_error(g.intersection_matrix, subset)
+        assert isinstance(want[0], type) and issubclass(want[0], GraphError)
+        assert result_or_error(codiscrepancies, g, subset) == want
+        assert result_or_error(pinned_codiscrepancies, g, {"d": Fraction(1, 2)}, subset) == want
+        assert result_or_error(mumford_pullback, g, Cycle({"d": 1}), subset) == want
 
 # -- the record, replayed ---------------------------------------------------
 
@@ -218,7 +303,7 @@ def test_choose_gets_its_own_sorted_list_of_the_current_candidates():
             candidates.clear()  # the list is choose's to keep
             return vid
 
-        residual = g._blow_down(g.ids(), spy)[0]
+        residual = g._from_view(*g._blow_down(g.ids(), spy)[:2])
         assert contract_oracle(g, lambda c: want.append(c) or c[len(c) // 2]) == residual
         assert seen == want
 
@@ -229,7 +314,8 @@ def test_the_blow_down_record_replays_through_blow_down_once():
     graphs += [entry.graph for entry in load_catalog()]
     for g in graphs:
         for choose in (None, min, lambda c: rng.choice(c)):
-            residual, _, _, record = g._blow_down(g.ids(), choose)
+            weight, nbrs, record = g._blow_down(g.ids(), choose)
+            residual = g._from_view(weight, nbrs)
             steps = iter(record)
 
             def follow(candidates):

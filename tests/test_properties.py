@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resgraph.discrepancy import (
+    SingularConfiguration,
+    codiscrepancies,
+    mumford_pullback,
+    pinned_codiscrepancies,
+)
 from resgraph.graph import Cycle, DualGraph, Vertex, VertexKind, _pull_back, parse, serialize
 from resgraph.linalg import SingularMatrix, UnderdeterminedSystem, solve
 from util import (
+    _dense_eliminate,
     apply,
     dense_definiteness,
     dense_kernel_basis,
@@ -17,6 +24,7 @@ from util import (
     dense_solve,
     det,
     inertia,
+    subset_system,
 )
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -63,7 +71,8 @@ def test_blowing_down_keeps_the_inertia_and_pulls_back_the_kernel(g, data):
     fewer per step, and g's kernel is the pull-back of the residual's."""
     order = data.draw(st.sampled_from(("stack", "min", "drawn")))
     choose = {"stack": None, "min": min, "drawn": lambda c: data.draw(st.sampled_from(c))}[order]
-    residual, _, _, record = g._blow_down(g.ids(), choose)
+    weight, nbrs, record = g._blow_down(g.ids(), choose)
+    residual = g._from_view(weight, nbrs)
     form, ids = g.intersection_matrix()
     rest, rest_ids = residual.intersection_matrix()
     negative, zero, positive = inertia(rest)
@@ -96,6 +105,61 @@ def test_solve_with_a_mixed_rational_rhs_matches_the_dense_oracle(g, data):
             solve(m, b)
     else:
         assert solve(m, b) == want
+
+
+def dense_subset_solve(g: DualGraph, unknowns: list[str], known: dict, canonical: bool):
+    """The subset solve on the whole subset, by dense elimination: the values
+    in the order of ``unknowns``, or the error type and message the library
+    gives, with the rank of the whole system."""
+    m, b = subset_system(g, unknowns, known, canonical)
+    try:
+        return dict(zip(unknowns, dense_solve(m, b)))
+    except SingularMatrix:
+        return SingularConfiguration, "no solution: b is outside the column space"
+    except UnderdeterminedSystem:
+        rank = len(_dense_eliminate(dense_rows(m))[1])
+        return SingularConfiguration, (
+            f"rank {rank} < {len(unknowns)}: solutions exist but are not unique"
+        )
+
+
+@PROPERTY
+@given(integral_graphs(st.sampled_from((-1, -1, -1, -2, -2, -3, 0, 1))), st.data())
+def test_subset_solves_that_blow_down_first_match_the_dense_whole_subset(g, data):
+    """Free, pinned and pull-back solves blow the (-1)-curves of their
+    unknowns down first; their values, or their error and its message, are
+    those of the whole subset's system."""
+    values = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+    exceptional = g.exceptional_ids()
+
+    def drawn(ids):
+        support = sorted(data.draw(st.sets(st.sampled_from(ids), min_size=1)))
+        return {vid: data.draw(values) for vid in support}
+
+    pins, attached = drawn(exceptional), Cycle(drawn(g.ids()))
+    subset = [vid for vid in g.complete_ids() if vid not in attached.coefficients]
+    free = dense_subset_solve(g, exceptional, {}, True)
+    pinned = dense_subset_solve(g, [vid for vid in exceptional if vid not in pins], pins, True)
+    pulled = dense_subset_solve(g, subset, attached.coefficients, False)
+    cases = [
+        (lambda: codiscrepancies(g).values, free),
+        (
+            lambda: pinned_codiscrepancies(g, pins).values,
+            {**pins, **pinned} if isinstance(pinned, dict) else pinned,
+        ),
+        (
+            lambda: mumford_pullback(g, attached, subset),
+            Cycle(pulled) if isinstance(pulled, dict) else pulled,
+        ),
+    ]
+    for call, want in cases:
+        try:
+            got = call()
+        except SingularConfiguration as exc:
+            got = type(exc), str(exc)
+        assert got == want
+        if isinstance(got, dict):
+            assert list(got) == list(want)
 
 
 # Tokens the text format holds: no whitespace or "#", and in an id no "," or "="

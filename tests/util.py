@@ -192,6 +192,21 @@ def dense_solve(M: SymMatrix, b: list[Fraction]) -> list[Fraction]:
     return x
 
 
+def subset_system(
+    g: DualGraph, unknowns: list[str], known: Mapping[str, Fraction], canonical: bool
+) -> tuple[SymMatrix, list[Fraction]]:
+    """The subset solve's system on the whole subset, with no blow-down:
+    the form on ``unknowns`` and b_j = (2 + E_j^2 if canonical else 0) minus
+    the known cycle's intersection with E_j."""
+    matrix, order = g.intersection_matrix(unknowns)
+    b = [
+        (2 + g.vertex(vid).self_int if canonical else 0)
+        - sum(m * known[w] for w, m in g.neighbors(vid) if w in known)
+        for vid in order
+    ]
+    return matrix, b
+
+
 def lcm_rows(M: SymMatrix, b: Sequence) -> tuple[SymMatrix, list[int]]:
     """The integer rows and right-hand side the elimination kernel starts
     from, set up the one way it once did for any M and b: row i of M and
