@@ -18,11 +18,19 @@ configuration is wrong.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from .graph import Cycle, DualGraph, _pull_back, _view_form, cycle_dot
-from .linalg import LinAlgError, UnderdeterminedSystem, _eliminate, definiteness, rational, solve
+from .linalg import (
+    LinAlgError,
+    UnderdeterminedSystem,
+    _eliminate,
+    _fraction,
+    definiteness,
+    rational,
+    solve,
+)
 
 
 class DiscrepancyError(Exception):
@@ -123,7 +131,10 @@ def _solve_subset(
         {vid: q.numerator * (den // q.denominator) for vid, q in theta.items()},
         {vid: q.numerator * (den // q.denominator) for vid, q in carried.items()},
     )
-    return {vid: theta[vid] if vid in theta else Fraction(nums[vid], den) for vid in unknowns}
+    for vid, _ in record:
+        common = gcd(nums[vid], den)
+        theta[vid] = _fraction(nums[vid] // common, den // common)
+    return {vid: theta[vid] for vid in unknowns}
 
 
 def codiscrepancies(

@@ -5,10 +5,12 @@ A vertex is a curve: ``exc`` (a complete exceptional curve, drawn as a
 circle), ``cen`` (a distinguished complete central curve, drawn filled), or
 ``tra`` (a non-complete transversal germ, which carries no self-intersection
 number). Edges carry positive integer multiplicities; graphs have no
-self-loops. ``DualGraph`` checks once, when it is built, that every
-self-intersection and multiplicity is an ``int`` (not a ``bool``); the
-intersection matrices and solves built on a graph trust that. Graphs are
-immutable after construction, so every derived computation is pure.
+self-loops. Every graph is checked once, where it comes from: ``parse``
+checks text line by line and names the line, and ``DualGraph`` checks a
+direct build; either way every self-intersection and multiplicity is an
+``int`` (not a ``bool``), and the intersection matrices and solves built on
+a graph trust that. Graphs are immutable after construction, so every
+derived computation is pure.
 """
 
 from __future__ import annotations
@@ -97,11 +99,9 @@ class DualGraph:
         edges: Mapping[tuple[str, str], int] | Iterable[tuple[str, str]],
     ):
         _check_token(_NAME_TOKEN, "graph name", name)
-        self.name = name
-        self.vertices = tuple(vertices)
         by_id: dict[str, Vertex] = {}
         id_ok = _ID_TOKEN.fullmatch
-        for v in self.vertices:
+        for v in vertices:
             vid = v.id
             if not (isinstance(vid, str) and id_ok(vid)):
                 raise BadToken(f"vertex id {vid!r} cannot be written in the text format")
@@ -119,7 +119,6 @@ class DualGraph:
                     f"complete vertex {vid!r} needs an int self-intersection, not {v.self_int!r}"
                 )
             by_id[vid] = v
-        self._by_id = by_id
 
         table: dict[tuple[str, str], int] = {}
         items = edges.items() if isinstance(edges, Mapping) else ((e, 1) for e in edges)
@@ -134,9 +133,27 @@ class DualGraph:
                 raise GraphError(f"edge multiplicity must be a positive int, not {mult!r}")
             key = (a, b) if a <= b else (b, a)
             table[key] = table.get(key, 0) + mult
-        self._edges = dict(sorted(table.items()))
+        self._fill(name, by_id, table)
 
-        adjacency: dict[str, list[tuple[str, int]]] = {v.id: [] for v in self.vertices}
+    @classmethod
+    def _of_parts(
+        cls, name: str, by_id: dict[str, Vertex], edges: dict[tuple[str, str], int]
+    ) -> "DualGraph":
+        """Build, unchecked, from parts that pass every check ``__init__``
+        makes (the graph counterpart of ``SymMatrix._of_rows``): ``by_id``,
+        kept as it is, maps each id in vertex order to its vertex, and
+        ``edges`` maps each ``_edge_key`` of two distinct ids to their total
+        multiplicity. ``parse`` and ``_from_view`` have checked their parts."""
+        graph = cls.__new__(cls)
+        graph._fill(name, by_id, edges)
+        return graph
+
+    def _fill(
+        self, name: str, by_id: dict[str, Vertex], edges: dict[tuple[str, str], int]
+    ) -> None:
+        self.name, self.vertices, self._by_id = name, tuple(by_id.values()), by_id
+        self._edges = dict(sorted(edges.items()))
+        adjacency: dict[str, list[tuple[str, int]]] = {vid: [] for vid in by_id}
         for (a, b), mult in self._edges.items():
             adjacency[a].append((b, mult))
             adjacency[b].append((a, mult))
@@ -154,7 +171,7 @@ class DualGraph:
         return [v.id for v in self.vertices]
 
     def complete_ids(self) -> list[str]:
-        # __init__ gives a self-intersection to exactly the complete vertices
+        # the checks give a self-intersection to exactly the complete vertices
         return [v.id for v in self.vertices if v.self_int is not None]
 
     def exceptional_ids(self) -> list[str]:
@@ -218,7 +235,7 @@ class DualGraph:
         order = list(self.complete_ids() if subset is None else subset)
         by_id, adjacency = self._by_id, self._adjacency
         index = {vid: i for i, vid in enumerate(order)}
-        # __init__ checked that every self-intersection and multiplicity is
+        # the graph's checks made every self-intersection and multiplicity
         # an int, and the adjacency is symmetric: the rows need none of the
         # checks and conversions of from_sparse
         rows = []
@@ -305,10 +322,16 @@ class DualGraph:
 
     def _from_view(self, weight: dict, nbrs: dict[str, dict[str, int]]) -> "DualGraph":
         """The graph of a view that ``_blow_down`` left: the vertices still in
-        it, with their weights there, and its edges."""
-        vertices = [Vertex(v.id, v.kind, weight[v.id], v.label) for v in self.vertices if v.id in weight]
+        it, with their weights there, and its edges. A blow-down keeps every
+        weight an int and every multiplicity a positive int, so the parts
+        pass the checks of ``__init__`` and are built unchecked."""
+        by_id = {
+            vid: Vertex(vid, v.kind, weight[vid], v.label)
+            for vid, v in self._by_id.items()
+            if vid in weight
+        }
         edges = {(a, b): m for a, row in nbrs.items() for b, m in row.items() if a < b}
-        return DualGraph(self.name, vertices, edges)
+        return DualGraph._of_parts(self.name, by_id, edges)
 
 
 def _view_form(weight: dict, nbrs: dict[str, dict[str, int]]) -> tuple[SymMatrix, list[str]]:
@@ -421,17 +444,17 @@ def parse(text: str) -> ParseResult:
     which has none. Kind defaults to ``exc``.
     """
     name: str | None = None
-    vertices: list[Vertex] = []
-    seen: set[str] = set()
+    by_id: dict[str, Vertex] = {}
     edges: dict[tuple[str, str], int] = {}
     cycles: dict[str, Cycle] = {}
     expects: list[tuple[str, str, int]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.partition("#")[0]
         parts = line.split()
+        if not parts:
+            continue
         directive = parts[0]
 
         if directive == "graph":
@@ -445,7 +468,7 @@ def parse(text: str) -> ParseResult:
             if len(parts) < 2:
                 raise DslSyntaxError(lineno, "expected: v <id> ...")
             vid = parts[1]
-            if vid in seen:
+            if vid in by_id:
                 raise DuplicateId(f"line {lineno}: duplicate vertex id {vid!r}")
             rest = parts[2:]
             self_int: int | None = -2
@@ -492,8 +515,7 @@ def parse(text: str) -> ParseResult:
                 )
             if label == "":
                 raise BadToken(f"line {lineno}: label '' cannot be written in the text format")
-            seen.add(vid)
-            vertices.append(Vertex(vid, kind, self_int, label))
+            by_id[vid] = Vertex(vid, kind, self_int, label)
 
         elif directive == "e":
             if len(parts) not in (3, 4):
@@ -507,7 +529,7 @@ def parse(text: str) -> ParseResult:
                 if mult <= 0:
                     raise DslSyntaxError(lineno, "edge multiplicity must be positive")
             for x in (a, b):
-                if x not in seen:
+                if x not in by_id:
                     raise UnknownVertex(f"line {lineno}: unknown vertex {x!r} in edge")
             if a == b:
                 raise DslSyntaxError(lineno, "self-loops are not allowed")
@@ -515,7 +537,7 @@ def parse(text: str) -> ParseResult:
             edges[key] = edges.get(key, 0) + mult
 
         elif directive == "cycle":
-            body = line[len("cycle"):].strip()
+            body = line.strip()[len("cycle"):].strip()
             if ":" not in body:
                 raise DslSyntaxError(lineno, "expected: cycle <name>: id=value, ...")
             cname, assigns = body.split(":", 1)
@@ -532,7 +554,7 @@ def parse(text: str) -> ParseResult:
                 if "=" not in piece:
                     raise DslSyntaxError(lineno, f"bad coefficient {piece!r}")
                 vid, value = (x.strip() for x in piece.split("=", 1))
-                if vid not in seen:
+                if vid not in by_id:
                     raise UnknownVertex(f"line {lineno}: unknown vertex {vid!r} in cycle")
                 if vid in coeffs:
                     raise DslSyntaxError(lineno, f"repeated vertex {vid!r} in cycle {cname!r}")
@@ -543,7 +565,7 @@ def parse(text: str) -> ParseResult:
             cycles[cname] = Cycle(coeffs)
 
         elif directive == "expect":
-            body = line[len("expect"):].strip()
+            body = line.strip()[len("expect"):].strip()
             if "=" not in body:
                 raise DslSyntaxError(lineno, "expected: expect <key> = <value>")
             key, value = (x.strip() for x in body.split("=", 1))
@@ -556,7 +578,8 @@ def parse(text: str) -> ParseResult:
 
     if name is None:
         raise DslSyntaxError(1, "missing graph directive")
-    return ParseResult(DualGraph(name, vertices, edges), cycles, expects)
+    # the lines above made every check of DualGraph, each naming its line
+    return ParseResult(DualGraph._of_parts(name, by_id, edges), cycles, expects)
 
 
 def _looks_like_int(token: str) -> bool:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import partial
 from heapq import heappop, heappush
 from math import gcd, lcm
 from operator import attrgetter
@@ -25,10 +24,20 @@ from typing import Iterable, Mapping, Sequence
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _denominator = attrgetter("denominator")
-# A Fraction from a numerator and a positive denominator already coprime,
-# without the gcd the public constructor takes (a private API: CPython 3.12
-# has the classmethod, 3.10 and 3.11 the keyword).
-_fraction = getattr(Fraction, "_from_coprime_ints", None) or partial(Fraction, _normalize=False)
+
+
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    """The Fraction of a coprime pair with ``denominator > 0``, built by
+    setting its two slots, as CPython 3.12's private classmethod
+    ``Fraction._from_coprime_ints`` does. It skips the type checks and the
+    gcd of the constructor: about 0.2 us a value on CPython 3.11 against
+    0.6-0.8 us for ``Fraction(n, d)``, whose ``_normalize=False`` saves
+    nothing there (``timeit``). ``tests/test_linalg.py`` fails if a CPython
+    renames the slots."""
+    value = object.__new__(Fraction)
+    value._numerator = numerator
+    value._denominator = denominator
+    return value
 
 
 class LinAlgError(Exception):
@@ -87,9 +96,11 @@ def rational(value) -> Fraction:
     exponents and underscores are a ValueError, so a short string cannot
     ask for a huge number (``Fraction("1e10000000")`` builds 10^10^7).
     """
+    if type(value) is int:
+        return _fraction(value, 1)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int):  # a bool, or another subclass of int
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()

@@ -24,6 +24,7 @@ from resgraph.linalg import definiteness, rational, solve
 from util import (
     NotAChain,
     ade_graph,
+    assert_lowest_terms,
     attach_chain,
     attach_fork_tail,
     chain_codiscrepancy_check,
@@ -249,8 +250,11 @@ def test_fundamental_cycle_matches_oracle_on_point_blowups():
     for i in range(24):
         base = BLOWUP_BASES[i % len(BLOWUP_BASES)]
         g = point_blowups(rng, base, rng.randint(1, 40))
-        _, pa = assert_matches_laufer_oracle(g)
+        z, pa = assert_matches_laufer_oracle(g)
         assert pa == 0, g
+        # in lowest terms, and meeting no curve positively (Laufer 1972)
+        assert_lowest_terms([*z.coefficients.values(), pa])
+        assert all(cycle_dot(g, z, vid) <= 0 for vid in g.ids())
 
 
 def test_fundamental_cycle_matches_oracle_on_ade_graphs():

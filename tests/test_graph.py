@@ -24,6 +24,7 @@ from resgraph.graph import (
 from resgraph.linalg import SymMatrix
 from util import (
     ade_graph,
+    built_parts,
     cycle_pairing,
     dense_rows,
     point_blowups,
@@ -348,6 +349,29 @@ def test_roundtrip_on_full_catalog():
         assert [(key, value) for key, value, _ in again.expects] == expects
         # serialization is a fixed point
         assert serialize(again.graph, again.cycles, expects) == text
+
+
+def test_unchecked_builds_equal_the_checked_constructor():
+    """``parse`` and ``_from_view`` build their graphs without the checks of
+    ``DualGraph.__init__``, from parts they have checked: what they build is
+    what the checked constructor builds from the same vertices and edges."""
+    for path in sorted(data_root().glob("*/*.dg")):
+        g = parse(path.read_text(encoding="utf-8")).graph
+        assert built_parts(g) == built_parts(DualGraph(g.name, g.vertices, g.edges())), path.name
+    rng = random.Random("unchecked-builds")
+    fiber = DualGraph("fiber", [Vertex("f", VertexKind.EXCEPTIONAL, 0)], {})
+    bases = [DualGraph("smooth", [], {}), fiber] + [
+        ade_graph(family, rank)
+        for family, rank in [("A", 1), ("A", 6), ("D", 4), ("D", 9), ("E", 6), ("E", 7), ("E", 8)]
+    ]
+    for base in bases:
+        g = point_blowups(rng, base, 80)
+        for ids in (g.ids(), [vid for vid in g.ids() if rng.random() < 0.7]):
+            weight, nbrs, record = g._blow_down(ids)
+            residual = g._from_view(weight, nbrs)
+            checked = DualGraph(g.name, residual.vertices, residual.edges())
+            assert built_parts(residual) == built_parts(checked), base.name
+            assert record and residual.ids() == [vid for vid in ids if vid in weight]
 
 
 def _one_curve(name="g", vid="a", label=None) -> DualGraph:

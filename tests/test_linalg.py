@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from math import gcd, log2
@@ -405,3 +406,22 @@ def test_entries_are_fractions_whatever_the_storage():
     same = SymMatrix.from_sparse([{0: Fraction(-2), 1: 1}, {0: 1, 1: Fraction(-6, 4)}])
     assert same == m and hash(same) == hash(m)
     assert repr(same) == repr(m) == "SymMatrix[-2 1; 1 -3/2]"
+
+
+def test_the_coprime_fraction_builder_fits_this_interpreter():
+    """``linalg._fraction`` sets the two slots of a Fraction; a CPython that
+    renames them fails here, not later with broken values."""
+    assert {"_numerator", "_denominator"} <= set(Fraction.__slots__)
+    big = 2**200
+    pairs = [(0, 1), (1, 1), (-1, 1), (5, 1), (-3, 7), (-(big + 1), 3), (big + 1, 3**126),
+             (-(3**127), big), (big - 1, big + 1)]
+    for n, d in pairs:
+        assert d > 0 and gcd(n, d) == 1
+        got, want = linalg._fraction(n, d), Fraction(n, d)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (n, d)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert got + want == 2 * want and got * want == want * want
+        assert got - Fraction(1, 3) == want - Fraction(1, 3) and got * 6 == want * 6
+        again = pickle.loads(pickle.dumps(got))
+        assert type(again) is Fraction and again == want and hash(again) == hash(want)

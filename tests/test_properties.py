@@ -18,6 +18,8 @@ from resgraph.linalg import SingularMatrix, UnderdeterminedSystem, solve
 from util import (
     _dense_eliminate,
     apply,
+    assert_lowest_terms,
+    built_parts,
     dense_definiteness,
     dense_kernel_basis,
     dense_rows,
@@ -85,6 +87,14 @@ def test_blowing_down_keeps_the_inertia_and_pulls_back_the_kernel(g, data):
         assert apply(form, [z.get(vid, 0) for vid in ids]) == [0] * len(ids)
 
 
+@PROPERTY
+@given(st.dictionaries(st.text("abc", min_size=1, max_size=2), st.integers() | st.booleans()))
+def test_a_cycle_of_ints_holds_fractions_in_lowest_terms(ints):
+    z = Cycle(ints)
+    assert_lowest_terms(z.coefficients.values())
+    assert z.coefficients == {vid: Fraction(v) for vid, v in ints.items() if v}
+
+
 # ints, Fractions of denominator 1, and others, as a pinned solve mixes them
 MIXED_RATIONALS = st.one_of(
     st.integers(-9, 9),
@@ -104,7 +114,9 @@ def test_solve_with_a_mixed_rational_rhs_matches_the_dense_oracle(g, data):
         with pytest.raises(type(exc)):
             solve(m, b)
     else:
-        assert solve(m, b) == want
+        got = solve(m, b)
+        assert_lowest_terms(got)
+        assert got == want
 
 
 def dense_subset_solve(g: DualGraph, unknowns: list[str], known: dict, canonical: bool):
@@ -157,9 +169,12 @@ def test_subset_solves_that_blow_down_first_match_the_dense_whole_subset(g, data
             got = call()
         except SingularConfiguration as exc:
             got = type(exc), str(exc)
-        assert got == want
-        if isinstance(got, dict):
+        if isinstance(got, Cycle):
+            assert_lowest_terms(got.coefficients.values())
+        elif isinstance(got, dict):
+            assert_lowest_terms(got.values())
             assert list(got) == list(want)
+        assert got == want
 
 
 # Tokens the text format holds: no whitespace or "#", and in an id no "," or "="
@@ -194,7 +209,11 @@ def test_parse_reads_back_what_serialize_writes(case):
     g, cycles = case
     again = parse(serialize(g, cycles))
     assert again.graph == g and again.cycles == cycles
+    # parse builds its graph unchecked, from parts it has checked line by
+    # line: the very graph the checked constructor builds
+    assert built_parts(again.graph) == built_parts(g)
     # == does not see the ids written with 0, which a cycle keeps as pins
     assert {n: set(z._named) for n, z in again.cycles.items()} == {
         n: set(z._named) for n, z in cycles.items()
     }
+

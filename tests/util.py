@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Mapping, Sequence
 
 from resgraph.contract import (
@@ -433,6 +433,23 @@ def classify_components(
         edges = {(a, b): m for (a, b), m in g.edges().items() if a in keep and b in keep}
         outcomes[min(comp)] = classify(DualGraph(g.name, vertices, edges), choose)
     return outcomes
+
+
+def assert_lowest_terms(values) -> None:
+    """Each value is a Fraction with a positive denominator coprime to its
+    numerator, so it equals and hashes like the one the constructor makes."""
+    for q in values:
+        n, d = q.numerator, q.denominator
+        assert type(q) is Fraction and d > 0 and gcd(n, d) == 1, (n, d)
+        assert q == Fraction(n, d) and hash(q) == hash(Fraction(n, d))
+
+
+def built_parts(g: DualGraph) -> tuple:
+    """Everything a graph holds, in its order: name, vertices, and the id,
+    edge and adjacency tables."""
+    return g.name, g.vertices, list(g._by_id.items()), list(g._edges.items()), list(
+        g._adjacency.items()
+    )
 
 
 def ade_graph(family: str, rank: int, name: str | None = None) -> DualGraph:
