@@ -11,8 +11,6 @@ in a single self-intersection-zero curve.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .graph import Cycle, DualGraph, Vertex, _pull_back
 from .linalg import Definiteness, Value, definiteness
 
@@ -139,33 +137,28 @@ def blow_down_once(g: DualGraph, vid: str) -> DualGraph:
     return DualGraph(g.name, vertices, edges)
 
 
-def _residual(g: DualGraph, choose: Callable[[list[str]], str]) -> tuple[DualGraph, list]:
+def _residual(g: DualGraph) -> tuple[DualGraph, list]:
     """The graph ``DualGraph._blow_down`` leaves of all of g (g itself if
-    nothing contracts) and its record, with ``choose`` held to the candidates."""
-    def pick(candidates: list[str]) -> str:
-        if (vid := choose(candidates)) not in candidates:
-            raise NotMinusOne(f"{vid!r} is not a complete (-1)-curve")
-        return vid
-
-    weight, nbrs, record = g._blow_down(g.ids(), pick)
+    nothing contracts) and its record."""
+    weight, nbrs, record = g._blow_down(g.ids())
     return (g._from_view(weight, nbrs) if record else g), record
 
 
-def contract_minus_ones(g: DualGraph, choose: Callable[[list[str]], str] = min) -> DualGraph:
-    """Contract complete (-1)-curves until none remain. ``choose`` picks the
-    next one from the sorted candidate list; the default (smallest id) makes
-    reports reproducible, and classification is order-independent.
+def contract_minus_ones(g: DualGraph) -> DualGraph:
+    """Contract complete (-1)-curves, smallest id first, until none remain.
+    The fixed order makes reports reproducible; classification does not
+    depend on it.
 
     The steps run on one mutable integer copy (``DualGraph._blow_down``), and
     one ``DualGraph`` is built at the end (``g`` itself if none contracts).
     """
-    return _residual(g, choose)[0]
+    return _residual(g)[0]
 
 
-def contracts_to_zero_curve(g: DualGraph, choose: Callable[[list[str]], str] = min) -> bool:
+def contracts_to_zero_curve(g: DualGraph) -> bool:
     """Whether blowing down every complete (-1)-curve leaves one complete
     curve, of self-intersection 0."""
-    residual = contract_minus_ones(g, choose)
+    residual = contract_minus_ones(g)
     rest = residual.complete_ids()
     return len(rest) == 1 and residual.vertex(rest[0]).self_int == 0
 
@@ -237,9 +230,7 @@ def complete_definiteness(g: DualGraph) -> Definiteness:
     return definiteness(matrix)
 
 
-def classify(
-    g: DualGraph, choose: Callable[[list[str]], str] = min
-) -> ContractionOutcome:
+def classify(g: DualGraph) -> ContractionOutcome:
     """Decide what the configuration of complete curves contracts to.
 
     First contract every (-1)-curve, then classify the residual's form,
@@ -261,7 +252,7 @@ def classify(
             f"complete part has {len(comps)} components, at {named}; "
             "classify each one as its own graph"
         )
-    residual, record = _residual(g, choose)
+    residual, record = _residual(g)
     defres = complete_definiteness(residual)
     rest = residual.complete_ids()
 

@@ -16,10 +16,10 @@ derived computation is pure.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, insort
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .linalg import SymMatrix, Value, format_rational, rational
 
@@ -267,38 +267,30 @@ class DualGraph:
         return weight, nbrs
 
     def _blow_down(
-        self,
-        ids: Iterable[str],
-        choose: Callable[[list[str]], str] | None = None,
-        rhs: dict[str, Fraction | int] | None = None,
+        self, ids: Iterable[str], rhs: dict[str, Fraction | int] | None = None
     ) -> tuple[dict, dict[str, dict[str, int]], list]:
-        """Blow down the complete (-1)-curves of ``_int_view(ids)``: the view
-        left, and the record of (curve, [(neighbour, multiplicity), ...]) per
-        step.
+        """Blow down the complete (-1)-curves of ``_int_view(ids)``, smallest
+        id first: the view left, and the record of (curve, [(neighbour,
+        multiplicity), ...]) per step.
 
-        A step, O(deg^2), raises each complete neighbour by m^2 and joins each
-        pair by m_a m_b: the Schur complement of a -1 pivot, so the complete
-        form keeps its kind and corank and loses a negative square (Artin
-        1962). A right-hand side ``rhs`` of M x = b on the view is carried
-        along: a step on E adds m_a b_E to each b_a, and ``_pull_back`` with
-        it recovers x_E = sum m_a x_a - b_E. With a ``choose``, the
-        (-1)-curves are kept sorted as they change, and ``choose`` gets a
-        copy of that list and must return one of them (the caller holds it
-        to that); without one they come off a stack.
+        A step, O(deg^2 + log c) for c current (-1)-curves, raises each
+        complete neighbour by m^2 and joins each pair by m_a m_b: the Schur
+        complement of a -1 pivot, so the complete form keeps its kind and
+        corank and loses a negative square (Artin 1962). A right-hand side
+        ``rhs`` of M x = b on the view is carried along: a step on E adds
+        m_a b_E to each b_a, and ``_pull_back`` with it recovers
+        x_E = sum m_a x_a - b_E. The (-1)-curves wait in one heap; a weight
+        only grows, so a curve raised off -1 leaves for good, and its entry
+        is skipped when it comes up.
         """
         weight, nbrs = self._int_view(ids)
         minus = [vid for vid, w in weight.items() if w == -1]
-        if choose is not None:
-            minus.sort()
+        heapify(minus)
         record = []
         while minus:
-            if choose is None:
-                vid = minus.pop()
-                if weight[vid] != -1:  # raised since it was pushed
-                    continue
-            else:
-                vid = choose(minus[:])
-                del minus[bisect_left(minus, vid)]
+            vid = heappop(minus)
+            if weight[vid] != -1:  # raised since it was pushed
+                continue
             del weight[vid]
             incident = list(nbrs.pop(vid).items())
             record.append((vid, incident))
@@ -306,14 +298,9 @@ class DualGraph:
                 del nbrs[a][vid]
                 w = weight[a]
                 if w is not None:  # a transversal germ has no weight to raise
-                    if w == -1 and choose is not None:
-                        del minus[bisect_left(minus, a)]
                     weight[a] = w = w + ma * ma
                     if w == -1:
-                        if choose is None:
-                            minus.append(a)
-                        else:
-                            insort(minus, a)
+                        heappush(minus, a)
                     if rhs is not None:
                         rhs[a] += ma * rhs[vid]
                 for b, mb in incident[i + 1:]:

@@ -1,5 +1,5 @@
-"""Each benchmark workload in its smoke mode: a few ops, checked against the
-benchmark's exact oracles. No timing is asserted."""
+"""Each benchmark workload in its smoke mode, and one traced: a few ops,
+checked against the benchmark's exact oracles. No timing is asserted."""
 
 import json
 import subprocess
@@ -11,13 +11,23 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["catalog-cli", "tree-codisc", "blowup-classify"])
-def test_bench_smoke(workload):
+def run_smoke(*args: str) -> None:
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--smoke"],
+        [sys.executable, "bench/run.py", *args, "--smoke"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["correct"] is True
     assert report["failed"] == 0
+
+
+@pytest.mark.parametrize("workload", ["catalog-cli", "tree-codisc", "blowup-classify"])
+def test_bench_smoke(workload):
+    run_smoke("--workload", workload)
+
+
+def test_traced_bench_smoke():
+    # the tracer looks its targets up by name and swaps its wrappers in for
+    # them, so a renamed or removed target fails here, not in a traced run
+    run_smoke("--workload", "blowup-classify", "--trace", "1")

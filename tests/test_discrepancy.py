@@ -34,6 +34,7 @@ from util import (
     pinned_consistent,
     point_blowups,
     random_tree_graph,
+    relabel,
 )
 
 
@@ -105,18 +106,13 @@ def test_codiscrepancy_values_solve_the_defining_system():
 
 
 def test_codiscrepancies_invariant_under_relabeling():
-    entry = entries_by_name()["classification/d4-target"]
-    base = codiscrepancies(entry.graph).values
-    renamed = parse(
-        "\n".join(
-            line.replace(" a", " xa").replace(" b", " xb")
-            for line in open(entry.path).read().splitlines()
-            if line.startswith(("graph", "v ", "e "))
-        )
-        + "\n"
-    ).graph
-    again = codiscrepancies(renamed).values
-    assert again["xa"] == base["a"] and again["xb"] == base["b"]
+    g = entries_by_name()["classification/d4-target"].graph
+    base = codiscrepancies(g).values
+    for seed in range(5):
+        renamed, names = relabel(g, random.Random(seed))
+        again = codiscrepancies(renamed).values
+        assert again[names["a"]] == base["a"] and again[names["b"]] == base["b"]
+        assert again == {names[vid]: q for vid, q in base.items()}
 
 
 def test_include_central_changes_the_system():
@@ -288,13 +284,7 @@ def test_fundamental_cycle_invariant_under_relabelling():
     rng = random.Random(5)
     for i in range(20):
         g = point_blowups(rng, BLOWUP_BASES[i % len(BLOWUP_BASES)], rng.randint(5, 60))
-        ids = g.ids()
-        names = dict(zip(ids, rng.sample([f"r{j}" for j in range(len(ids))], len(ids))))
-        relabelled = DualGraph(
-            g.name,
-            [Vertex(names[v.id], v.kind, v.self_int) for v in g.vertices],
-            {(names[a], names[b]): m for (a, b), m in g.edges().items()},
-        )
+        relabelled, names = relabel(g, rng)
         z, pa = fundamental_cycle(g)
         rz, rpa = fundamental_cycle(relabelled)
         assert rpa == pa

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from resgraph.contract import (
     ContractionOutcome,
@@ -416,9 +416,7 @@ def fork_codiscrepancy_check(
     return all(result.values[vid] == f for vid in chain)
 
 
-def classify_components(
-    g: DualGraph, choose: Callable[[list[str]], str] = min
-) -> dict[str, ContractionOutcome]:
+def classify_components(g: DualGraph) -> dict[str, ContractionOutcome]:
     """Classify each connected component of the complete part separately,
     with the transversal germs that meet it; keys are the smallest vertex id
     of each component."""
@@ -431,7 +429,7 @@ def classify_components(
         keep = comp | {w for vid in comp for w, _ in g.neighbors(vid)}
         vertices = [v for v in g.vertices if v.id in keep]
         edges = {(a, b): m for (a, b), m in g.edges().items() if a in keep and b in keep}
-        outcomes[min(comp)] = classify(DualGraph(g.name, vertices, edges), choose)
+        outcomes[min(comp)] = classify(DualGraph(g.name, vertices, edges))
     return outcomes
 
 
@@ -550,6 +548,18 @@ def inertia(M: SymMatrix) -> tuple[int, int, int]:
     negative = sign_changes([c if (n - k) % 2 == 0 else -c for k, c in enumerate(coeffs)])
     assert negative + zero + positive == n
     return negative, zero, positive
+
+
+def relabel(g: DualGraph, rng: random.Random) -> tuple[DualGraph, dict[str, str]]:
+    """g with its ids permuted by a seeded bijection, in the same vertex
+    order, and the map from each old id to its new one. The library blows
+    down smallest id first, so a test changes the order it contracts in by
+    renaming the curves."""
+    ids = g.ids()
+    names = dict(zip(ids, rng.sample(ids, len(ids))))
+    vertices = [Vertex(names[v.id], v.kind, v.self_int, v.label) for v in g.vertices]
+    edges = {(names[a], names[b]): m for (a, b), m in g.edges().items()}
+    return DualGraph(g.name, vertices, edges), names
 
 
 def point_blowups(rng: random.Random, base: DualGraph, k: int, prefix: str = "x") -> DualGraph:
