@@ -11,7 +11,7 @@ in a single self-intersection-zero curve.
 
 from __future__ import annotations
 
-from .graph import Cycle, DualGraph, Vertex, _pull_back
+from .graph import Cycle, DualGraph, Vertex, _pull_back, _view_parts
 from .linalg import Definiteness, Value, definiteness
 
 
@@ -137,22 +137,16 @@ def blow_down_once(g: DualGraph, vid: str) -> DualGraph:
     return DualGraph(g.name, vertices, edges)
 
 
-def _residual(g: DualGraph) -> tuple[DualGraph, list]:
-    """The graph ``DualGraph._blow_down`` leaves of all of g (g itself if
-    nothing contracts) and its record."""
-    weight, nbrs, record = g._blow_down(g.ids())
-    return (g._from_view(weight, nbrs) if record else g), record
-
-
 def contract_minus_ones(g: DualGraph) -> DualGraph:
     """Contract complete (-1)-curves, smallest id first, until none remain.
     The fixed order makes reports reproducible; classification does not
     depend on it.
 
-    The steps run on one mutable integer copy (``DualGraph._blow_down``), and
-    one ``DualGraph`` is built at the end (``g`` itself if none contracts).
+    The steps run on the integer copy the graph shares (``DualGraph._blow_down``),
+    and one ``DualGraph`` is built at the end (``g`` itself if none contracts).
     """
-    return _residual(g)[0]
+    weight, nbrs, record = g._blow_down(g.ids())
+    return g._from_view(weight, nbrs) if record else g
 
 
 def contracts_to_zero_curve(g: DualGraph) -> bool:
@@ -245,14 +239,15 @@ def classify(g: DualGraph) -> ContractionOutcome:
     complete = g.complete_ids()
     if not complete:
         raise NoCompleteVertices("no complete vertices to contract")
-    comps = g.components(complete)
-    if len(comps) > 1:
+    weight, nbrs, record = g._blow_down(g.ids())
+    if _view_parts(weight, nbrs, record, complete=True) > 1:
+        comps = g.components(complete)
         named = ", ".join(repr(min(comp)) for comp in comps)
         raise DisconnectedGraph(
             f"complete part has {len(comps)} components, at {named}; "
             "classify each one as its own graph"
         )
-    residual, record = _residual(g)
+    residual = g._from_view(weight, nbrs) if record else g
     defres = complete_definiteness(residual)
     rest = residual.complete_ids()
 

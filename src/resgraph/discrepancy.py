@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, NamedTuple, Sequence
 
-from .graph import Cycle, DualGraph, _pull_back, _view_form, cycle_dot
+from .graph import Cycle, DualGraph, _pull_back, _view_form, _view_parts, cycle_dot
 from .linalg import (
     LinAlgError,
     UnderdeterminedSystem,
@@ -83,10 +83,11 @@ def _solve_subset(
     and B . E_j only sees the known neighbours of j. Only edges inside
     ``unknowns`` enter the matrix.
 
-    The (-1)-curves among the unknowns are blown down first, carrying the
-    right-hand side (``DualGraph._blow_down``), so only the residual is
-    eliminated; each d_E is then pulled back in integers over one common
-    denominator. A subset with no (-1)-curve is solved as it stands.
+    The (-1)-curves among the unknowns are blown down first
+    (``DualGraph._blow_down``), the right-hand side is carried through the
+    record, and only the residual is eliminated; each d_E is then pulled
+    back in integers over one common denominator. A subset with no
+    (-1)-curve is solved as it stands.
     """
     if not unknowns:
         return {}
@@ -109,7 +110,11 @@ def _solve_subset(
         matrix, order = g.intersection_matrix(unknowns)
         record = []
     else:
-        weight, nbrs, record = g._blow_down(unknowns, rhs=rhs)
+        weight, nbrs, record = g._blow_down(unknowns)
+        for vid, incident in record:  # a step on E adds m_a b_E to each b_a
+            if b := rhs[vid]:
+                for a, m in incident:
+                    rhs[a] += m * b
         matrix, order = _view_form(weight, nbrs)
     try:
         theta = dict(zip(order, solve(matrix, [rhs[vid] for vid in order])))
@@ -255,14 +260,14 @@ def fundamental_cycle(
     ids = sorted(set(g.exceptional_ids() if subset is None else subset))
     if not ids:
         raise EmptySubset("empty subset")
-    if len(g.components(ids)) != 1:
+    weight, nbrs, record = g._blow_down(ids)  # raises on the smallest unknown id
+    if _view_parts(weight, nbrs, record) != 1:
         raise DiscrepancyError("fundamental cycle needs a connected configuration")
-    weight, nbrs, record = g._blow_down(ids)
-    # a transversal germ is never blown down, so this names the first one
+    # a transversal germ is never blown down, so this names the smallest one
     if not definiteness(_view_form(weight, nbrs)[0]).is_negative_definite:
         raise NotNegativeDefinite("configuration is not negative definite")
     if not weight:  # the last curve blown down is the residual then
-        vid = record.pop()[0]
+        vid, record = record[-1][0], record[:-1]
         weight, nbrs = {vid: -1}, {vid: {}}
     coeffs = dict.fromkeys(weight, 1)
     dots = {vid: w + sum(nbrs[vid].values()) for vid, w in weight.items()}

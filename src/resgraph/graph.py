@@ -90,7 +90,7 @@ def _edge_key(a: str, b: str) -> tuple[str, str]:
 class DualGraph:
     """A weighted dual graph: named vertices plus a multiset of edges."""
 
-    __slots__ = ("name", "vertices", "_by_id", "_edges", "_adjacency")
+    __slots__ = ("name", "vertices", "_by_id", "_edges", "_adjacency", "_blown")
 
     def __init__(
         self,
@@ -158,6 +158,7 @@ class DualGraph:
             adjacency[a].append((b, mult))
             adjacency[b].append((a, mult))
         self._adjacency = {k: tuple(v) for k, v in adjacency.items()}
+        self._blown = None  # (frozenset of ids, weight, nbrs, record) of the last _blow_down
 
     # -- queries ---------------------------------------------------------
 
@@ -259,30 +260,34 @@ class DualGraph:
     def _int_view(self, ids: Iterable[str]) -> tuple[dict, dict[str, dict[str, int]]]:
         """Mutable plain copies of the self-intersections of the given
         vertices and of their {neighbour: multiplicity} maps among them."""
-        weight = {vid: self._by_id[vid].self_int for vid in ids}
+        try:
+            weight = {vid: self._by_id[vid].self_int for vid in ids}
+        except KeyError as exc:  # the first unknown id, in the order given
+            raise UnknownVertex(f"no vertex {exc.args[0]!r}") from None
         adjacency = self._adjacency
         if len(weight) == len(adjacency):  # the whole graph: nothing to filter
             return weight, {vid: dict(adjacency[vid]) for vid in weight}
         nbrs = {vid: {w: m for w, m in adjacency[vid] if w in weight} for vid in weight}
         return weight, nbrs
 
-    def _blow_down(
-        self, ids: Iterable[str], rhs: dict[str, Fraction | int] | None = None
-    ) -> tuple[dict, dict[str, dict[str, int]], list]:
+    def _blow_down(self, ids: Sequence[str]) -> tuple[dict, dict, list]:
         """Blow down the complete (-1)-curves of ``_int_view(ids)``, smallest
         id first: the view left, and the record of (curve, [(neighbour,
-        multiplicity), ...]) per step.
+        multiplicity), ...]) per step. The graph keeps the last one, by set of
+        ids, and shares it read-only, in the dict order of the call that built it.
 
         A step, O(deg^2 + log c) for c current (-1)-curves, raises each
         complete neighbour by m^2 and joins each pair by m_a m_b: the Schur
         complement of a -1 pivot, so the complete form keeps its kind and
-        corank and loses a negative square (Artin 1962). A right-hand side
-        ``rhs`` of M x = b on the view is carried along: a step on E adds
-        m_a b_E to each b_a, and ``_pull_back`` with it recovers
-        x_E = sum m_a x_a - b_E. The (-1)-curves wait in one heap; a weight
-        only grows, so a curve raised off -1 leaves for good, and its entry
-        is skipped when it comes up.
+        corank and loses a negative square (Artin 1962). Replaying the
+        record carries a right-hand side b of M x = b (a step on E adds
+        m_a b_E to each b_a); ``_pull_back`` then gives x_E = sum m_a x_a - b_E.
+        The (-1)-curves wait in one heap; a weight only grows, so a curve
+        raised off -1 leaves for good, and its entry is skipped when it comes up.
         """
+        key = frozenset(ids)
+        if self._blown is not None and self._blown[0] == key:
+            return self._blown[1:]
         weight, nbrs = self._int_view(ids)
         minus = [vid for vid, w in weight.items() if w == -1]
         heapify(minus)
@@ -301,10 +306,9 @@ class DualGraph:
                     weight[a] = w = w + ma * ma
                     if w == -1:
                         heappush(minus, a)
-                    if rhs is not None:
-                        rhs[a] += ma * rhs[vid]
                 for b, mb in incident[i + 1:]:
                     nbrs[a][b] = nbrs[b][a] = nbrs[a].get(b, 0) + ma * mb
+        self._blown = key, weight, nbrs, record
         return weight, nbrs, record
 
     def _from_view(self, weight: dict, nbrs: dict[str, dict[str, int]]) -> "DualGraph":
@@ -321,16 +325,40 @@ class DualGraph:
         return DualGraph._of_parts(self.name, by_id, edges)
 
 
+def _view_parts(weight: dict, nbrs: dict, record: list, complete: bool = False) -> int:
+    """How many connected components the curves of a blown-down view came in
+    (with ``complete``, its complete curves, by the edges among them). A step
+    joins the neighbours of its curve pairwise, so it closes a component only
+    when no neighbour counts; the view holds the rest."""
+    skip = {vid for vid, w in weight.items() if w is None} if complete else ()
+    parts = 0
+    for _, incident in record:
+        for a, _ in incident:
+            if a not in skip:
+                break
+        else:
+            parts += 1
+    pool = set(weight).difference(skip)
+    while pool:
+        parts += 1
+        frontier = {pool.pop()}
+        while frontier:
+            frontier = {b for a in frontier for b in nbrs[a] if b in pool}
+            pool -= frontier
+    return parts
+
+
 def _view_form(weight: dict, nbrs: dict[str, dict[str, int]]) -> tuple[SymMatrix, list[str]]:
     """The intersection form of a view, in its order, as
-    ``intersection_matrix`` builds it; a transversal germ in the view is
-    named as there."""
+    ``intersection_matrix`` builds it; of the transversal germs in the view,
+    the smallest id is named, whichever order the view was built in."""
     order = list(weight)
     index = {vid: i for i, vid in enumerate(order)}
     rows = []
     for i, vid in enumerate(order):
         if (w := weight[vid]) is None:
-            raise TransversalInSubset(f"{vid!r} is transversal")
+            germ = min(v for v in order if weight[v] is None)
+            raise TransversalInSubset(f"{germ!r} is transversal")
         row = {index[b]: m for b, m in nbrs[vid].items()}
         if w:
             row[i] = w
@@ -341,8 +369,8 @@ def _view_form(weight: dict, nbrs: dict[str, dict[str, int]]) -> tuple[SymMatrix
 def _pull_back(record: list, coeffs: dict, rhs: Mapping | None = None) -> dict:
     """Extend a cycle on the residual of ``DualGraph._blow_down`` to its
     total transform, last step first: a contracted curve E gets the sum of
-    m_a z_a over the curves it met, less rhs[E] for the right-hand side the
-    steps carried. Transversal germs count as zero."""
+    m_a z_a over the curves it met, less rhs[E] for the right-hand side
+    carried forwards through the steps. Transversal germs count as zero."""
     for vid, incident in reversed(record):
         z = 0 if rhs is None else -rhs[vid]
         for a, m in incident:  # a loop, not sum(): most curves meet one or two
@@ -356,15 +384,16 @@ _ZERO = Fraction(0)  # shared: a Fraction is immutable
 
 class Cycle(Value):
     """A formal rational combination of vertices; ids absent from the map
-    have coefficient zero. The map keeps the nonzero coefficients only; the
-    private ``_named`` keeps every id given, in order, so that a cycle read
-    as a map of pinned values keeps a pin of 0, and ``serialize`` writes it."""
+    have coefficient zero. The map keeps the nonzero coefficients only,
+    sorted by id, so that its repr depends on the value alone; the private
+    ``_named`` keeps every id given, in order, so that a cycle read as a map
+    of pinned values keeps a pin of 0, and ``serialize`` writes it."""
 
     __slots__ = ("coefficients", "_named")
 
     def __init__(self, coefficients: Mapping[str, Fraction] | None = None):
         given = coefficients or {}
-        clean = {k: q for k, v in given.items() if (q := rational(v))}
+        clean = {k: q for k in sorted(given) if (q := rational(given[k]))}
         object.__setattr__(self, "coefficients", clean)
         object.__setattr__(self, "_named", tuple(given))
 

@@ -11,7 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_smoke(*args: str) -> None:
+def run_smoke(*args: str) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", *args, "--smoke"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
@@ -20,6 +20,7 @@ def run_smoke(*args: str) -> None:
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["correct"] is True
     assert report["failed"] == 0
+    return report
 
 
 @pytest.mark.parametrize("workload", ["catalog-cli", "tree-codisc", "blowup-classify"])
@@ -29,5 +30,9 @@ def test_bench_smoke(workload):
 
 def test_traced_bench_smoke():
     # the tracer looks its targets up by name and swaps its wrappers in for
-    # them, so a renamed or removed target fails here, not in a traced run
-    run_smoke("--workload", "blowup-classify", "--trace", "1")
+    # them, so a renamed or removed target fails here, not in a traced run;
+    # a wrapper that no longer binds where the op calls counts nothing
+    metrics = run_smoke("--workload", "blowup-classify", "--trace", "1")["metrics"]
+    for span in ("contract.classify", "discrepancy.fundamental_cycle", "linalg.solve",
+                 "linalg.definiteness"):
+        assert metrics[f"{span}.calls"]["value"] > 0, span

@@ -21,6 +21,7 @@ from resgraph.contract import (
     blow_down_once,
     classify,
     contract_minus_ones,
+    contracts_to_zero_curve,
 )
 from resgraph.discrepancy import (
     DiscrepancyError,
@@ -30,7 +31,7 @@ from resgraph.discrepancy import (
     mumford_pullback,
     pinned_codiscrepancies,
 )
-from resgraph.graph import Cycle, DualGraph, GraphError, Vertex, VertexKind, parse
+from resgraph.graph import Cycle, DualGraph, GraphError, Vertex, VertexKind, parse, serialize
 from util import (
     ade_graph,
     classify_oracle,
@@ -64,11 +65,11 @@ def blowups(seed: str, count: int, kmax: int = 80) -> list[DualGraph]:
     return [point_blowups(rng, BASES[i % len(BASES)], rng.randint(1, kmax)) for i in range(count)]
 
 
-def with_germ(rng: random.Random, g: DualGraph) -> DualGraph:
+def with_germ(rng: random.Random, g: DualGraph, germ: str = "t") -> DualGraph:
     """g plus one transversal germ on a random curve."""
     edges = dict(g.edges())
-    edges[tuple(sorted(("t", rng.choice(g.ids()))))] = rng.choice((1, 2))
-    return DualGraph(g.name, list(g.vertices) + [Vertex("t", VertexKind.TRANSVERSAL, None)], edges)
+    edges[tuple(sorted((germ, rng.choice(g.ids()))))] = rng.choice((1, 2))
+    return DualGraph(g.name, list(g.vertices) + [Vertex(germ, VertexKind.TRANSVERSAL, None)], edges)
 
 
 # -- classify against the whole-form oracle ---------------------------------
@@ -330,3 +331,82 @@ def test_a_curve_raised_off_minus_one_is_skipped_and_none_enters_the_heap_twice(
         entered = [v.id for v in g.vertices if v.self_int == -1] + pushed
         assert len(entered) == len(set(entered))
         assert {vid for vid, _ in record} <= set(entered)
+
+
+# -- one blow-down per id set, shared read-only ------------------------------
+
+
+def shared_calls(g, rng):
+    """The seven functions that blow down, with pins and an attached cycle
+    drawn for g, and ``fundamental_cycle`` on every id, which shares the view
+    ``classify`` builds: (name, call on a graph)."""
+    exc = g.exceptional_ids()
+    pins = {vid: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for vid in rng.sample(exc, min(2, len(exc)))}
+    germs = [vid for vid in g.ids() if not g.vertex(vid).complete]
+    attached = Cycle({germs[0]: 1} if germs else {exc[0]: Fraction(3, 2)} if exc else {})
+    subset = [vid for vid in g.complete_ids() if vid not in attached.coefficients]
+    return [
+        ("classify", classify),
+        ("fundamental_cycle on every id", lambda h: fundamental_cycle(h, h.ids())),
+        ("contract_minus_ones", contract_minus_ones),
+        ("contracts_to_zero_curve", contracts_to_zero_curve),
+        ("codiscrepancies", codiscrepancies),
+        ("pinned_codiscrepancies", lambda h: pinned_codiscrepancies(h, pins)),
+        ("mumford_pullback", lambda h: mumford_pullback(h, attached, subset)),
+        ("fundamental_cycle", fundamental_cycle),
+    ]
+
+
+def fresh_copy(g):
+    """g parsed anew from its text, or built anew where the format cannot
+    hold it (a curve of self-intersection 0 or more)."""
+    try:
+        return parse(serialize(g)).graph
+    except GraphError:
+        return DualGraph(g.name, g.vertices, g.edges())
+
+
+def test_every_caller_reads_the_one_blow_down_as_a_fresh_graph_would():
+    # each call on one graph, in both orders, against the same call on a
+    # graph no other call has blown down: a caller that changed the shared
+    # view, or read it in the order another call built it, shows here
+    rng = random.Random("shared")
+    graphs = blowups("shared", 18, 60) + [with_germ(rng, g) for g in blowups("shared-germs", 9, 40)]
+    # germs in an order that is not the id order, which names the first
+    graphs += [with_germ(rng, with_germ(rng, g, "z")) for g in blowups("shared-two-germs", 6, 20)]
+    graphs += [entry.graph for entry in load_catalog()]
+    for g in graphs:
+        for h in (g, relabel(g, rng)[0]):
+            calls = shared_calls(h, rng)
+            for order in (calls, calls[::-1]):
+                one = fresh_copy(h)
+                for name, call in order:
+                    got, want = result_or_error(call, one), result_or_error(call, fresh_copy(h))
+                    assert got == want and repr(got) == repr(want), (h.name, name)
+
+
+def test_a_graph_blows_each_id_set_down_once(monkeypatch):
+    # every blow-down starts from a view of its own, and only one does
+    runs = []
+    int_view = DualGraph._int_view
+
+    def counting_int_view(self, ids):
+        runs.append(len(ids))
+        return int_view(self, ids)
+
+    monkeypatch.setattr(DualGraph, "_int_view", counting_int_view)
+    rng = random.Random("blown-once")
+    for g in blowups("blown-once", 18, 60):  # no germ and no central curve
+        runs.clear()
+        calls = dict(shared_calls(g, rng))
+        calls["pinned_codiscrepancies"] = lambda h: pinned_codiscrepancies(h, {})
+        calls["mumford_pullback"] = lambda h: mumford_pullback(h, Cycle())
+        for call in [*calls.values(), *reversed(calls.values())]:
+            result_or_error(call, g)
+        assert runs == [len(g.ids())], g.name
+        # the graph keeps one blow-down: another id set replaces it
+        n = len(g.ids())
+        if n > 1:
+            for call in (lambda h: fundamental_cycle(h, h.ids()[1:]), classify, classify):
+                result_or_error(call, g)
+            assert runs == [n, n - 1, n], g.name

@@ -7,16 +7,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resgraph.contract import ContractionError, DisconnectedGraph, classify
 from resgraph.discrepancy import (
+    DiscrepancyError,
     SingularConfiguration,
     codiscrepancies,
+    fundamental_cycle,
     mumford_pullback,
     pinned_codiscrepancies,
 )
-from resgraph.graph import Cycle, DualGraph, Vertex, VertexKind, _pull_back, parse, serialize
+from resgraph.graph import (
+    Cycle,
+    DualGraph,
+    GraphError,
+    Vertex,
+    VertexKind,
+    _pull_back,
+    _view_parts,
+    parse,
+    serialize,
+)
 from resgraph.linalg import SingularMatrix, UnderdeterminedSystem, solve
 from util import (
     _dense_eliminate,
+    ade_graph,
     apply,
     assert_lowest_terms,
     built_parts,
@@ -26,6 +40,7 @@ from util import (
     dense_solve,
     det,
     inertia,
+    point_blowups,
     relabel,
     subset_system,
 )
@@ -94,6 +109,77 @@ def test_a_cycle_of_ints_holds_fractions_in_lowest_terms(ints):
     z = Cycle(ints)
     assert_lowest_terms(z.coefficients.values())
     assert z.coefficients == {vid: Fraction(v) for vid, v in ints.items() if v}
+
+
+EXC = VertexKind.EXCEPTIONAL
+PIECE_BASES = [DualGraph("smooth", [], {})] + [ade_graph(f, r) for f, r in (("A", 2), ("D", 4), ("E", 6))]
+# pieces that blow down to nothing: an isolated (-1)-curve, a (-1)-(-2) chain
+VANISHING = [
+    DualGraph("e", [Vertex("e", EXC, -1)], {}),
+    DualGraph("c", [Vertex("e", EXC, -1), Vertex("f", EXC, -2)], [("e", "f")]),
+]
+
+
+@st.composite
+def unions_of_pieces(draw) -> DualGraph:
+    """A disjoint union of 1..4 pieces, each a point blow-up of a small base,
+    one of ``VANISHING``, or an ``integral_graphs`` draw; maybe with one more
+    transversal germ that meets a curve of each of two pieces, so that the
+    two are joined through it only."""
+    vertices, edges, anchors = [], {}, []
+    for i in range(draw(st.integers(1, 4))):
+        piece = draw(st.one_of(
+            st.builds(point_blowups, st.randoms(use_true_random=False), st.sampled_from(PIECE_BASES),
+                      st.integers(0, 12)).filter(lambda g: g.vertices),
+            st.sampled_from(VANISHING),
+            integral_graphs(st.sampled_from((-1, -1, -2, -3))),
+        ))
+        vertices += [Vertex(f"p{i}{v.id}", v.kind, v.self_int) for v in piece.vertices]
+        edges.update({(f"p{i}{a}", f"p{i}{b}"): m for (a, b), m in piece.edges().items()})
+        anchors.append(f"p{i}{draw(st.sampled_from(piece.complete_ids()))}")
+    if len(anchors) > 1 and draw(st.booleans()):
+        vertices.append(Vertex("germ", VertexKind.TRANSVERSAL, None))
+        for a in draw(st.lists(st.sampled_from(anchors), min_size=2, max_size=2, unique=True)):
+            edges[(a, "germ")] = draw(st.integers(1, 2))
+    return DualGraph("u", vertices, edges)
+
+
+@PROPERTY
+@given(unions_of_pieces())
+def test_the_blown_down_view_counts_the_components_it_came_from(g):
+    """A step closes a component when its curve has no neighbour left (no
+    complete one, for the complete part), and the view holds the rest:
+    the count equals ``components`` of the ids blown down, and ``classify``
+    and ``fundamental_cycle`` name a disconnected configuration as that
+    walk would."""
+    complete, exceptional = g.complete_ids(), g.exceptional_ids()
+    for ids in (g.ids(), sorted(exceptional)):
+        view = g._blow_down(ids)
+        assert _view_parts(*view) == len(g.components(ids))
+        if ids == g.ids():
+            assert _view_parts(*view, complete=True) == len(g.components(complete))
+    comps = g.components(complete)
+    try:
+        got = classify(g)
+    except ContractionError as exc:
+        got = exc
+    if len(comps) > 1:
+        named = ", ".join(repr(min(comp)) for comp in comps)
+        assert type(got) is DisconnectedGraph and str(got) == (
+            f"complete part has {len(comps)} components, at {named}; "
+            "classify each one as its own graph"
+        )
+    else:
+        assert not isinstance(got, DisconnectedGraph)
+    for ids in (exceptional, g.ids()):
+        try:
+            fundamental_cycle(g, ids)
+        except (DiscrepancyError, GraphError) as exc:
+            disconnected = str(exc) == "fundamental cycle needs a connected configuration"
+            assert disconnected == (type(exc) is DiscrepancyError)
+            assert disconnected == (len(g.components(ids)) > 1)
+        else:
+            assert len(g.components(ids)) == 1
 
 
 # ints, Fractions of denominator 1, and others, as a pinned solve mixes them

@@ -144,6 +144,13 @@ def test_cycle_keeps_exact_nonzero_coefficients():
     assert all(type(q) is Fraction for q in z.coefficients.values())
 
 
+def test_a_cycle_prints_its_value_whatever_order_it_was_given_in():
+    assert repr(Cycle({"b": 2, "a": 1})) == repr(Cycle({"a": 1, "b": 2}))
+    assert str(Cycle({"b": 2, "a": 1})) == str(Cycle({"a": 1, "b": 2}))
+    assert list(Cycle({"b": 2, "c": 0, "a": 1}).coefficients) == ["a", "b"]
+    assert Cycle({"b": 2, "c": 0, "a": 1})._named == ("b", "c", "a")  # the pins keep theirs
+
+
 @pytest.mark.parametrize("value, text", REPRS, ids=[type(v).__name__ for v, _ in REPRS])
 def test_repr(value, text):
     assert repr(value) == text
