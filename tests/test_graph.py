@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -139,26 +141,95 @@ def _mutate(text: str, rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_parse_of_mutated_fixtures_raises_only_graph_errors():
-    """A mangled fixture either parses or raises a GraphError, never some
-    other exception."""
+def _mutants():
+    """(fixture name, mutant) for the 60 mutants of each catalog fixture
+    that seed 2011 draws, 1320 in all, in one fixed order."""
     rng = random.Random(2011)
     paths = sorted(data_root().glob("*/*.dg"))
     assert len(paths) == 22
-    outcomes = {"parsed": 0, "rejected": 0}
     for path in paths:
         text = path.read_text(encoding="utf-8")
         for _ in range(60):
-            mutated = _mutate(text, rng)
-            try:
-                parse(mutated)
-            except GraphError:
-                outcomes["rejected"] += 1
-            except Exception as exc:  # report the input that broke parse
-                pytest.fail(f"{path.name}: {type(exc).__name__}: {exc}\n{mutated}")
-            else:
-                outcomes["parsed"] += 1
+            yield path.name, _mutate(text, rng)
+
+
+def test_parse_of_mutated_fixtures_raises_only_graph_errors():
+    """A mangled fixture either parses or raises a GraphError, never some
+    other exception."""
+    outcomes = {"parsed": 0, "rejected": 0}
+    for name, mutated in _mutants():
+        try:
+            parse(mutated)
+        except GraphError:
+            outcomes["rejected"] += 1
+        except Exception as exc:  # report the input that broke parse
+            pytest.fail(f"{name}: {type(exc).__name__}: {exc}\n{mutated}")
+        else:
+            outcomes["parsed"] += 1
     assert min(outcomes.values()) > 100
+
+
+PARSE_CORPUS = Path(__file__).resolve().parent / "data" / "parse_corpus.json"
+
+
+def _parse_record(text: str) -> list:
+    """What ``parse`` makes of a text, as JSON: the error's type and full
+    message, or every part of the graph (``util.built_parts``, with each
+    vertex as [id, kind, self-intersection, label] and each adjacency as
+    (neighbour, multiplicity) pairs, whatever holds them; the id table
+    holds the vertices themselves), the cycles with
+    their coefficients as [id, numerator, denominator] and their named ids,
+    and the expectations."""
+    try:
+        graph, cycles, expects = parse(text)
+    except GraphError as exc:
+        return [type(exc).__name__, str(exc)]
+    name, vertices, by_id, edges, adjacency = built_parts(graph)
+    assert [v for _, v in by_id] == list(vertices)
+
+    def vertex(v):
+        return [v.id, v.kind.value, v.self_int, v.label]
+
+    return [
+        name,
+        [vertex(v) for v in vertices],
+        [vid for vid, _ in by_id],
+        [[a, b, m] for (a, b), m in edges],
+        [[vid, [[w, m] for w, m in dict(nbrs).items()]] for vid, nbrs in adjacency],
+        [
+            [cname, [[k, q.numerator, q.denominator] for k, q in z.coefficients.items()], list(z._named)]
+            for cname, z in cycles.items()
+        ],
+        [list(e) for e in expects],
+    ]
+
+
+def test_parse_replays_the_recorded_corpus():
+    """Each mutant parses to the recorded parts or raises the recorded
+    error, word for word: a reworded message or a reordered check shows
+    here. After an intended change of ``parse``, re-record with
+
+        PYTHONPATH=src python tests/test_graph.py
+
+    which prints each record that changed; name them in the change log."""
+    recorded = json.loads(PARSE_CORPUS.read_text(encoding="utf-8"))
+    mutants = list(_mutants())
+    assert len(recorded) == len(mutants) == 1320
+    for i, ((name, mutated), want) in enumerate(zip(mutants, recorded)):
+        assert _parse_record(mutated) == want, f"record {i}, a mutant of {name}:\n{mutated}"
+
+
+def record_parse_corpus() -> None:
+    old = json.loads(PARSE_CORPUS.read_text(encoding="utf-8")) if PARSE_CORPUS.exists() else []
+    new = [_parse_record(mutated) for _, mutated in _mutants()]
+    for i, record in enumerate(new):
+        if i >= len(old) or old[i] != record:
+            print(f"changed: record {i}: {record}")
+    PARSE_CORPUS.write_text("\n".join(["["] + [
+        json.dumps(r, ensure_ascii=False) + ("," if i < len(new) - 1 else "")
+        for i, r in enumerate(new)
+    ] + ["]"]) + "\n", encoding="utf-8")
+    print(f"recorded {len(new)} parses in {PARSE_CORPUS}")
 
 
 def test_parse_rejects_repeated_vertex_in_cycle():
@@ -452,3 +523,7 @@ def test_components():
     assert g.components([]) == []
     with pytest.raises(UnknownVertex, match="no vertex 'q'"):
         g.components(["c", "q", "a"])
+
+
+if __name__ == "__main__":
+    record_parse_corpus()
