@@ -167,13 +167,6 @@ def cmd_triviality(args) -> int:
     return report.finish(args.json)
 
 
-def _parse_ints(text: str, what: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x]
-    except ValueError:
-        raise ValueError(f"bad {what}: {text!r}") from None
-
-
 def _parse_rational(text: str, what: str) -> Fraction:
     try:
         return rational(text)
@@ -181,22 +174,38 @@ def _parse_rational(text: str, what: str) -> Fraction:
         raise ValueError(f"bad {what}: {text!r}") from None
 
 
+def _parse_int(text: str, what: str) -> int:
+    # rational reads ASCII digits only; int alone also reads "1_0" and other scripts' digits
+    if "/" in text:
+        raise ValueError(f"bad {what}: {text!r}")
+    return _parse_rational(text, what).numerator
+
+
+def _parse_ints(text: str, what: str) -> list[int]:
+    try:
+        return [_parse_int(x, what) for x in text.split(",") if x]
+    except ValueError:
+        raise ValueError(f"bad {what}: {text!r}") from None
+
+
 def cmd_pair(args) -> int:
     report = _Report(["pair"])
     try:
+        k = _parse_int(args.k, "k")
         weights = _parse_ints(args.weights, "weights")
         degrees = _parse_ints(args.degrees, "degrees")
         curve = CICurve(WeightedProjectiveSpace(tuple(weights)), tuple(degrees))
     except ValueError as exc:
         return _input_error(str(exc))
-    report.say(f"pairing: {format_rational(pair(curve, args.k))}")
+    report.say(f"pairing: {format_rational(pair(curve, k))}")
     return report.finish(args.json)
 
 
 def cmd_wdisc(args) -> int:
     report = _Report(["wdisc"])
     try:
-        value = wblowup_discrepancy(args.index, _parse_ints(args.weights, "weights"))
+        index = _parse_int(args.index, "index")
+        value = wblowup_discrepancy(index, _parse_ints(args.weights, "weights"))
     except ValueError as exc:
         return _input_error(str(exc))
     report.say(f"discrepancy: {format_rational(value)}")
@@ -208,7 +217,7 @@ def cmd_genus(args) -> int:
     try:
         weights = _parse_ints(args.weights, "weights")
         correction = _parse_rational(args.correction, "correction")
-        value = subadjunction_genus(weights, args.degree, correction)
+        value = subadjunction_genus(weights, _parse_int(args.degree, "degree"), correction)
     except ValueError as exc:
         return _input_error(str(exc))
     report.say(f"arithmetic genus: {format_rational(value)}")
@@ -265,19 +274,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pair", help="degree pairing in a weighted projective space")
     p.add_argument("--weights", required=True, help="comma-separated positive integers")
     p.add_argument("--degrees", required=True, help="comma-separated positive integers")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", required=True)
     add_json(p)
     p.set_defaults(func=cmd_pair)
 
     p = sub.add_parser("wdisc", help="weighted blowup discrepancy")
-    p.add_argument("--index", type=int, required=True)
+    p.add_argument("--index", required=True)
     p.add_argument("--weights", required=True)
     add_json(p)
     p.set_defaults(func=cmd_wdisc)
 
     p = sub.add_parser("genus", help="subadjunction genus of a weighted-space curve")
     p.add_argument("--weights", required=True, help="exactly three comma-separated weights")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", required=True)
     p.add_argument("--correction", required=True, help="orbifold correction, p/q")
     add_json(p)
     p.set_defaults(func=cmd_genus)

@@ -11,7 +11,7 @@ in a single self-intersection-zero curve.
 
 from __future__ import annotations
 
-from .graph import Cycle, DualGraph, Vertex, _pull_back, _view_parts
+from .graph import Cycle, DualGraph, _pull_back, _view_parts
 from .linalg import Definiteness, Value, definiteness
 
 
@@ -117,21 +117,16 @@ def blow_down_once(g: DualGraph, vid: str) -> DualGraph:
     if v.self_int != -1:
         raise NotMinusOne(f"{vid!r} has self-intersection {v.self_int}, not -1")
 
-    incident = list(g.neighbors(vid))
+    incident = g.neighbors(vid)
     bumps = {other: mult * mult for other, mult in incident}
-    vertices = []
-    for w in g.vertices:
-        if w.id == vid:
-            continue
-        if w.id in bumps and w.complete:
-            vertices.append(Vertex(w.id, w.kind, w.self_int + bumps[w.id], w.label))
-        else:
-            vertices.append(w)
+    vertices = [
+        w._replace(self_int=w.self_int + bumps[w.id]) if w.id in bumps and w.complete else w
+        for w in g.vertices
+        if w.id != vid
+    ]
     edges = {pair: mult for pair, mult in g.edges().items() if vid not in pair}
-    for i in range(len(incident)):
-        a, ma = incident[i]
-        for j in range(i + 1, len(incident)):
-            b, mb = incident[j]
+    for i, (a, ma) in enumerate(incident):
+        for b, mb in incident[i + 1:]:
             key = (a, b) if a <= b else (b, a)
             edges[key] = edges.get(key, 0) + ma * mb
     return DualGraph(g.name, vertices, edges)

@@ -101,7 +101,7 @@ def _solve_subset(
             minus = True
         c = 2 + w if canonical else 0
         if known:
-            for other, mult in adjacency[vid]:
+            for other, mult in adjacency[vid].items():
                 if other in known:
                     c -= mult * known[other]
         rhs[vid] = c
@@ -227,11 +227,9 @@ def implied_tail_start(
     a = -g.vertex(root).self_int
     other_sum = Fraction(0)
     for w, mult in g.neighbors(root):
-        if w in tail or w == root:
-            continue
+        # the tail holds no pin, and neighbors outside the system do not enter
         if w in propagated.values:
             other_sum += mult * propagated.values[w]
-        # neighbors outside the system (central, transversal) do not enter
     required_next = a * pins[root] - (a - 2) - other_sum
     return pins[root] - required_next
 

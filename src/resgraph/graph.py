@@ -21,7 +21,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .linalg import SymMatrix, Value, format_rational, rational
+from .linalg import SymMatrix, Value, _fraction, format_rational, rational
 
 
 class GraphError(Exception):
@@ -81,10 +81,6 @@ _NAME_TOKEN, _ID_TOKEN = re.compile(r"[^\s#]+"), re.compile(r"[^\s#,=]+")
 def _check_token(pattern: re.Pattern, what: str, token: str) -> None:
     if not isinstance(token, str) or not pattern.fullmatch(token):
         raise BadToken(f"{what} {token!r} cannot be written in the text format")
-
-
-def _edge_key(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
 
 
 class DualGraph:
@@ -152,12 +148,11 @@ class DualGraph:
         self, name: str, by_id: dict[str, Vertex], edges: dict[tuple[str, str], int]
     ) -> None:
         self.name, self.vertices, self._by_id = name, tuple(by_id.values()), by_id
-        self._edges = dict(sorted(edges.items()))
-        adjacency: dict[str, list[tuple[str, int]]] = {vid: [] for vid in by_id}
-        for (a, b), mult in self._edges.items():
-            adjacency[a].append((b, mult))
-            adjacency[b].append((a, mult))
-        self._adjacency = {k: tuple(v) for k, v in adjacency.items()}
+        self._edges = edges = dict(sorted(edges.items()))
+        # {id: {neighbour: multiplicity}} in sorted-edge order; only copies leave
+        self._adjacency = adjacency = {vid: {} for vid in by_id}
+        for (a, b), mult in edges.items():
+            adjacency[a][b] = adjacency[b][a] = mult
         self._blown = None  # (frozenset of ids, weight, nbrs, record) of the last _blow_down
 
     # -- queries ---------------------------------------------------------
@@ -185,12 +180,12 @@ class DualGraph:
         return dict(self._edges)
 
     def multiplicity(self, a: str, b: str) -> int:
-        return self._edges.get(_edge_key(a, b), 0)
+        return self._adjacency.get(a, {}).get(b, 0)
 
     def neighbors(self, vid: str) -> tuple[tuple[str, int], ...]:
-        """(neighbor id, edge multiplicity) pairs."""
+        """(neighbor id, edge multiplicity) pairs, in the order of ``edges``."""
         self.vertex(vid)
-        return self._adjacency[vid]
+        return tuple(self._adjacency[vid].items())
 
     def components(self, subset: Iterable[str] | None = None) -> list[set[str]]:
         """Connected components of the subgraph induced on subset (all
@@ -207,7 +202,7 @@ class DualGraph:
             comp = {start}
             frontier = [start]
             while frontier:
-                for other, _ in self._adjacency[frontier.pop()]:
+                for other in self._adjacency[frontier.pop()]:
                     if other in pool:
                         pool.remove(other)
                         comp.add(other)
@@ -247,7 +242,7 @@ class DualGraph:
             if v.self_int is None:
                 raise TransversalInSubset(f"{vid!r} is transversal")
             row = {}
-            for w, mult in adjacency[vid]:
+            for w, mult in adjacency[vid].items():
                 if w in index:
                     row[index[w]] = mult
             if v.self_int:
@@ -266,8 +261,8 @@ class DualGraph:
             raise UnknownVertex(f"no vertex {exc.args[0]!r}") from None
         adjacency = self._adjacency
         if len(weight) == len(adjacency):  # the whole graph: nothing to filter
-            return weight, {vid: dict(adjacency[vid]) for vid in weight}
-        nbrs = {vid: {w: m for w, m in adjacency[vid] if w in weight} for vid in weight}
+            return weight, {vid: adjacency[vid].copy() for vid in weight}
+        nbrs = {vid: {w: m for w, m in adjacency[vid].items() if w in weight} for vid in weight}
         return weight, nbrs
 
     def _blow_down(self, ids: Sequence[str]) -> tuple[dict, dict, list]:
@@ -393,7 +388,13 @@ class Cycle(Value):
 
     def __init__(self, coefficients: Mapping[str, Fraction] | None = None):
         given = coefficients or {}
-        clean = {k: q for k in sorted(given) if (q := rational(given[k]))}
+        clean = {}
+        for k in sorted(given):
+            if type(q := given[k]) is int:  # most cycles are of ints: no call to rational
+                if q:
+                    clean[k] = _fraction(q, 1)
+            elif q := rational(q):
+                clean[k] = q
         object.__setattr__(self, "coefficients", clean)
         object.__setattr__(self, "_named", tuple(given))
 
@@ -438,13 +439,6 @@ class ParseResult(NamedTuple):
 _KINDS = {k.value: k for k in VertexKind}
 
 
-def _parse_int(token: str, lineno: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise DslSyntaxError(lineno, f"bad {what}: {token!r}") from None
-
-
 def parse(text: str) -> ParseResult:
     """Parse the line-oriented graph format.
 
@@ -457,13 +451,15 @@ def parse(text: str) -> ParseResult:
         expect <key> = <value>
 
     An omitted self-intersection means -2; ``~`` marks a transversal vertex,
-    which has none. Kind defaults to ``exc``.
+    which has none. Kind defaults to ``exc``. Integers are ASCII digits with
+    an optional sign.
     """
     name: str | None = None
     by_id: dict[str, Vertex] = {}
     edges: dict[tuple[str, str], int] = {}
     cycles: dict[str, Cycle] = {}
     expects: list[tuple[str, str, int]] = []
+    exceptional, transversal = VertexKind.EXCEPTIONAL, VertexKind.TRANSVERSAL
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
@@ -471,86 +467,93 @@ def parse(text: str) -> ParseResult:
         parts = line.split()
         if not parts:
             continue
-        directive = parts[0]
+        directive, n = parts[0], len(parts)
 
-        if directive == "graph":
-            if name is not None:
-                raise DslSyntaxError(lineno, "second graph directive")
-            if len(parts) != 2:
-                raise DslSyntaxError(lineno, "expected: graph <name>")
-            name = parts[1]
-
-        elif directive == "v":
-            if len(parts) < 2:
+        if directive == "v":
+            if n < 2:
                 raise DslSyntaxError(lineno, "expected: v <id> ...")
             vid = parts[1]
             if vid in by_id:
                 raise DuplicateId(f"line {lineno}: duplicate vertex id {vid!r}")
-            rest = parts[2:]
-            self_int: int | None = -2
-            transversal_marker = False
-            explicit_weight = False
-            if rest and (rest[0] == "~" or _looks_like_int(rest[0])):
-                if rest[0] == "~":
-                    transversal_marker = True
-                    self_int = None
-                else:
-                    self_int = _parse_int(rest[0], lineno, "self-intersection")
-                    explicit_weight = True
-                rest = rest[1:]
-            kind = VertexKind.EXCEPTIONAL
-            if rest and rest[0] in _KINDS:
-                kind = _KINDS[rest[0]]
-                rest = rest[1:]
+            self_int, i = -2, 2
+            transversal_marker = explicit_weight = False
+            if n > 2:
+                token = parts[2]
+                if token == "~":
+                    transversal_marker, self_int, i = True, None, 3
+                elif (token[1:] if token[0] in "+-" else token).isdigit():
+                    try:  # isdigit and int take any Unicode digit; the format, ASCII only
+                        if not token.isascii():
+                            raise ValueError
+                        self_int = int(token)
+                    except ValueError:  # or more digits than int reads
+                        raise DslSyntaxError(lineno, f"bad self-intersection: {token!r}") from None
+                    explicit_weight, i = True, 3
+            kind = exceptional
+            if i < n and parts[i] in _KINDS:
+                kind, i = _KINDS[parts[i]], i + 1
             elif transversal_marker:
-                kind = VertexKind.TRANSVERSAL
+                kind = transversal
             label = None
-            if rest and rest[0].startswith("label="):
-                label = rest[0][len("label="):]
-                rest = rest[1:]
-            if rest:
-                raise DslSyntaxError(lineno, f"trailing tokens: {' '.join(rest)!r}")
-            if transversal_marker and kind is not VertexKind.TRANSVERSAL:
+            if i < n and parts[i].startswith("label="):
+                label, i = parts[i][6:], i + 1
+            if i < n:
+                raise DslSyntaxError(lineno, f"trailing tokens: {' '.join(parts[i:])!r}")
+            if transversal_marker and kind is not transversal:
                 raise DslSyntaxError(lineno, "~ marks a transversal vertex")
-            if kind is VertexKind.TRANSVERSAL:
+            if kind is transversal:
                 if explicit_weight:
                     raise SelfIntOnTransversal(
                         f"line {lineno}: transversal {vid!r} cannot carry a self-intersection"
                     )
                 self_int = None
-            if kind is not VertexKind.TRANSVERSAL and self_int is not None and self_int > -1:
+            elif self_int > -1:  # a complete vertex has an int here
                 raise DslSyntaxError(
                     lineno, f"complete vertex {vid!r} needs self-intersection <= -1"
                 )
-            # ``DualGraph`` checks these too, without a line to name: a token
-            # holds no whitespace or "#", but an id can hold "," or "=", and
-            # a label can be empty
-            if not _ID_TOKEN.fullmatch(vid):
+            # ``DualGraph`` checks these too, without a line to name. The
+            # split and the "#" cut leave no whitespace or "#" in a token,
+            # so of what its id pattern rejects only "," and "=" can be left;
+            # and a label can be empty
+            if "," in vid or "=" in vid:
                 raise BadToken(
                     f"line {lineno}: vertex id {vid!r} cannot be written in the text format"
                 )
             if label == "":
                 raise BadToken(f"line {lineno}: label '' cannot be written in the text format")
-            by_id[vid] = Vertex(vid, kind, self_int, label)
+            by_id[vid] = tuple.__new__(Vertex, (vid, kind, self_int, label))
 
         elif directive == "e":
-            if len(parts) not in (3, 4):
+            if n != 3 and n != 4:
                 raise DslSyntaxError(lineno, "expected: e <id> <id> [m=<mult>]")
-            a, b = parts[1], parts[2]
-            mult = 1
-            if len(parts) == 4:
+            a, b, mult = parts[1], parts[2], 1
+            if n == 4:
                 if not parts[3].startswith("m="):
                     raise DslSyntaxError(lineno, f"bad edge option {parts[3]!r}")
-                mult = _parse_int(parts[3][2:], lineno, "edge multiplicity")
+                token = parts[3][2:]
+                try:  # as for a self-intersection
+                    if not (token.isascii() and token.lstrip("+-").isdigit()):
+                        raise ValueError
+                    mult = int(token)
+                except ValueError:
+                    raise DslSyntaxError(lineno, f"bad edge multiplicity: {token!r}") from None
                 if mult <= 0:
                     raise DslSyntaxError(lineno, "edge multiplicity must be positive")
-            for x in (a, b):
-                if x not in by_id:
-                    raise UnknownVertex(f"line {lineno}: unknown vertex {x!r} in edge")
+            if a not in by_id:
+                raise UnknownVertex(f"line {lineno}: unknown vertex {a!r} in edge")
+            if b not in by_id:
+                raise UnknownVertex(f"line {lineno}: unknown vertex {b!r} in edge")
             if a == b:
                 raise DslSyntaxError(lineno, "self-loops are not allowed")
-            key = _edge_key(a, b)
+            key = (a, b) if a <= b else (b, a)
             edges[key] = edges.get(key, 0) + mult
+
+        elif directive == "graph":
+            if name is not None:
+                raise DslSyntaxError(lineno, "second graph directive")
+            if n != 2:
+                raise DslSyntaxError(lineno, "expected: graph <name>")
+            name = parts[1]
 
         elif directive == "cycle":
             body = line.strip()[len("cycle"):].strip()
@@ -596,11 +599,6 @@ def parse(text: str) -> ParseResult:
         raise DslSyntaxError(1, "missing graph directive")
     # the lines above made every check of DualGraph, each naming its line
     return ParseResult(DualGraph._of_parts(name, by_id, edges), cycles, expects)
-
-
-def _looks_like_int(token: str) -> bool:
-    t = token[1:] if token[:1] in "+-" else token
-    return t.isdigit()
 
 
 def serialize(

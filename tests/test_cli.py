@@ -369,6 +369,36 @@ def test_genus_rejects_correction_outside_p_over_q(capsys, correction):
     assert err == f"error: bad correction: {correction!r}\n"
 
 
+# int() alone reads "1_0" as 10 and the Arabic-Indic digit one as 1
+NUMBER_ARGS = {
+    "pair": ["--weights", "1,1,2", "--degrees", "4", "--k", "1"],
+    "wdisc": ["--index", "5", "--weights", "1,2"],
+    "genus": ["--weights", "1,2,3", "--degree", "6", "--correction", "0"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, option, what",
+    [
+        ("pair", "--weights", "weights"),
+        ("pair", "--degrees", "degrees"),
+        ("pair", "--k", "k"),
+        ("wdisc", "--index", "index"),
+        ("wdisc", "--weights", "weights"),
+        ("genus", "--weights", "weights"),
+        ("genus", "--degree", "degree"),
+    ],
+)
+@pytest.mark.parametrize("digits", ["1_0", "\u0661", "2/1"])
+def test_cli_integers_are_ascii_digits(capsys, command, option, what, digits):
+    argv = list(NUMBER_ARGS[command])
+    i = argv.index(option) + 1
+    argv[i] = ",".join([digits] + argv[i].split(",")[1:])
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2 and not out
+    assert err == f"error: bad {what}: {argv[i]!r}\n"
+
+
 def test_catalog_verify(capsys):
     code, out, _ = run(capsys, "catalog", "verify")
     assert code == 0

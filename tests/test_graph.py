@@ -110,6 +110,10 @@ HEAD = "graph g\nv a -2\nv b -2\n"  # lines 1-3
         (HEAD + "v b,c -2\n", BadToken, 4),
         ("graph g\nv a=b ~\n", BadToken, 2),
         (HEAD + "v c -2 label=\n", BadToken, 4),
+        # the format's integers are ASCII digits: int alone reads all three
+        (HEAD + "e a b m=1_0\n", DslSyntaxError, 4),
+        (HEAD + "e a b m=\u0663\n", DslSyntaxError, 4),
+        (HEAD + "v c -\u0663\n", DslSyntaxError, 4),
     ],
 )
 def test_parse_error_class_and_line(text, error, line):
@@ -245,6 +249,21 @@ def test_parse_rejects_coefficients_outside_p_over_q():
         with pytest.raises(DslSyntaxError) as err:
             parse(f"graph g\nv a -2\nv t ~ tra\ne a t\ncycle z: t={value}\n")
         assert err.value.line == 5
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("e a b m=1_0", "bad edge multiplicity: '1_0'"),
+        ("e a b m=\u0663", "bad edge multiplicity: '\u0663'"),
+        ("v c -\u0663", "bad self-intersection: '-\u0663'"),
+        ("v c -\u00b2", "bad self-intersection: '-\u00b2'"),
+    ],
+)
+def test_parse_reads_integers_of_ascii_digits_only(line, message):
+    with pytest.raises(DslSyntaxError) as err:
+        parse(HEAD + line + "\n")
+    assert err.value.message == message
 
 
 def test_parse_rejects_nonnegative_self_int():

@@ -27,7 +27,7 @@ from resgraph.graph import (
     parse,
     serialize,
 )
-from resgraph.linalg import SingularMatrix, UnderdeterminedSystem, solve
+from resgraph.linalg import SingularMatrix, UnderdeterminedSystem, rational, solve
 from util import (
     _dense_eliminate,
     ade_graph,
@@ -109,6 +109,58 @@ def test_a_cycle_of_ints_holds_fractions_in_lowest_terms(ints):
     z = Cycle(ints)
     assert_lowest_terms(z.coefficients.values())
     assert z.coefficients == {vid: Fraction(v) for vid, v in ints.items() if v}
+
+
+class _Count(int):
+    """An int subclass other than bool: like a bool, it goes through ``rational``."""
+
+
+@PROPERTY
+@given(
+    st.dictionaries(
+        st.text("abc", min_size=1, max_size=2),
+        st.just(0)
+        | st.integers()
+        | st.booleans()
+        | st.integers().map(_Count)
+        | st.fractions()
+        | st.just("3/4"),
+    )
+)
+def test_a_cycle_reads_each_value_as_rational_does(given_values):
+    z = Cycle(given_values)
+    via = {k: rational(v) for k, v in given_values.items()}
+    expected = {k: via[k] for k in sorted(via) if via[k]}
+    # repr shows a numerator that is a bool or another int subclass
+    assert repr(z.coefficients) == repr(expected)
+    assert z._named == tuple(given_values) == Cycle(via)._named
+    assert repr(z) == repr(Cycle(via))
+    assert_lowest_terms(z.coefficients.values())
+
+
+@PROPERTY
+@given(integral_graphs(), st.data())
+def test_the_adjacency_of_a_graph_never_leaks(g, data):
+    edges = g.edges()
+    for vid in g.ids():
+        # in the order of edges(), the other end of each edge at vid
+        want = tuple((b if a == vid else a, m) for (a, b), m in edges.items() if vid in (a, b))
+        assert type(g.neighbors(vid)) is tuple and g.neighbors(vid) == want
+    whole = data.draw(st.booleans())
+    ids = g.ids() if whole else data.draw(st.lists(st.sampled_from(g.ids()), unique=True))
+
+    def state():
+        rows = dense_rows(g.intersection_matrix()[0])
+        return [g.neighbors(vid) for vid in g.ids()], g.edges(), rows, g._int_view(ids)
+
+    before = state()
+    weight, nbrs = g._int_view(ids)
+    for vid, row in nbrs.items():
+        for w in row:
+            row[w] += 5
+        row["new"] = 1
+        weight[vid] = 7
+    assert state() == before
 
 
 EXC = VertexKind.EXCEPTIONAL
