@@ -10,7 +10,9 @@ checks text line by line and names the line, and ``DualGraph`` checks a
 direct build; either way every self-intersection and multiplicity is an
 ``int`` (not a ``bool``), and the intersection matrices and solves built on
 a graph trust that. Graphs are immutable after construction, so every
-derived computation is pure.
+derived computation is pure: a graph keeps one {neighbour: multiplicity}
+dict per vertex, in sorted-edge order, and hands out only copies of them
+(``neighbors`` a tuple, the blow-down a ``dict.copy``).
 """
 
 from __future__ import annotations
@@ -149,7 +151,6 @@ class DualGraph:
     ) -> None:
         self.name, self.vertices, self._by_id = name, tuple(by_id.values()), by_id
         self._edges = edges = dict(sorted(edges.items()))
-        # {id: {neighbour: multiplicity}} in sorted-edge order; only copies leave
         self._adjacency = adjacency = {vid: {} for vid in by_id}
         for (a, b), mult in edges.items():
             adjacency[a][b] = adjacency[b][a] = mult
@@ -451,8 +452,7 @@ def parse(text: str) -> ParseResult:
         expect <key> = <value>
 
     An omitted self-intersection means -2; ``~`` marks a transversal vertex,
-    which has none. Kind defaults to ``exc``. Integers are ASCII digits with
-    an optional sign.
+    which has none. Kind defaults to ``exc``; integers are ASCII digits.
     """
     name: str | None = None
     by_id: dict[str, Vertex] = {}
