@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -520,3 +522,72 @@ def test_an_integral_graph_is_solved_without_coercing_a_number(monkeypatch):
     assert calls == [] and len(result.values) == 60
     solve(m, [F(1, 2)] * m.dimension)  # the counter is live
     assert calls
+
+
+TREE_CORPUS = Path(__file__).resolve().parent / "data" / "tree_corpus.json"
+
+
+def _tree_cases():
+    """(graph, pinned leaves) for 100 random trees of n = 5 ... 80 curves,
+    each with a transversal germ ``t`` on one curve; every fourth tree also
+    draws (-1)-curves, so its solves blow down first."""
+    rng = random.Random(1989)
+    for i in range(100):
+        n = 5 + 75 * i // 99
+        weights = (-1, -2, -3, -4, -5) if i % 4 == 3 else (-2, -3, -4, -5)
+        tree = random_tree_graph(rng, n, weights, name=f"tree{i}")
+        edges = tree.edges()
+        edges[(f"n{rng.randrange(n)}", "t")] = 1
+        g = DualGraph(tree.name, [*tree.vertices, Vertex("t", VertexKind.TRANSVERSAL, None)], edges)
+        leaves = [vid for vid in tree.ids() if len(tree.neighbors(vid)) == 1]
+        yield g, sorted(rng.sample(leaves, min(3, len(leaves))))
+
+
+def _repr_or_error(fn, *args):
+    try:
+        return repr(fn(*args))
+    except DiscrepancyError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _tree_record(g: DualGraph, leaves: list[str]) -> list[str]:
+    """The reprs (or errors) of the free solve, the solve with the leaves
+    pinned at their free values, and the pull-back of ``t = 1``."""
+    try:
+        free = codiscrepancies(g)
+    except DiscrepancyError as exc:
+        free, pinned = f"{type(exc).__name__}: {exc}", None
+    else:
+        pins = {vid: free.values[vid] for vid in leaves}
+        free, pinned = repr(free), _repr_or_error(pinned_codiscrepancies, g, pins)
+    return [g.name, free, pinned, _repr_or_error(mumford_pullback, g, Cycle({"t": 1}))]
+
+
+def test_tree_solves_replay_the_recorded_corpus():
+    """Every tree solve gives the recorded result, repr for repr: values,
+    their order and each error's message. After an intended change,
+    re-record with
+
+        PYTHONPATH=src python tests/test_discrepancy.py
+
+    which prints each record that changed; name them in the change log."""
+    recorded = json.loads(TREE_CORPUS.read_text(encoding="utf-8"))
+    cases = list(_tree_cases())
+    assert len(recorded) == len(cases) == 100
+    for (g, leaves), want in zip(cases, recorded):
+        assert _tree_record(g, leaves) == want, g.name
+
+
+def record_tree_corpus() -> None:
+    old = json.loads(TREE_CORPUS.read_text(encoding="utf-8")) if TREE_CORPUS.exists() else []
+    new = [_tree_record(g, leaves) for g, leaves in _tree_cases()]
+    for i, record in enumerate(new):
+        if i >= len(old) or old[i] != record:
+            print(f"changed: record {i}: {record[0]}")
+    TREE_CORPUS.write_text("\n".join(["["] + [
+        json.dumps(r) + ("," if i < len(new) - 1 else "") for i, r in enumerate(new)
+    ] + ["]"]) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    record_tree_corpus()
