@@ -24,6 +24,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .graph import Cycle, DualGraph, _pull_back, _view_form, _view_parts, cycle_dot
 from .linalg import (
     LinAlgError,
+    SymMatrix,
     UnderdeterminedSystem,
     _eliminate,
     _fraction,
@@ -62,12 +63,12 @@ class CodiscrepancyResult(NamedTuple):
 
     @classmethod
     def from_values(cls, values: Mapping[str, Fraction]) -> "CodiscrepancyResult":
-        vals = dict(values)
-        return cls(
-            values=vals,
-            all_nonnegative=all(v.numerator >= 0 for v in vals.values()),
-            max_denominator=max((v.denominator for v in vals.values()), default=1),
-        )
+        vals, nonnegative, den = dict(values), True, 1
+        for v in vals.values():  # .numerator, as a caller may pass ints
+            nonnegative &= v.numerator >= 0
+            if (d := v.denominator) > den:
+                den = d
+        return cls(vals, nonnegative, den)
 
 
 def _solve_subset(
@@ -83,41 +84,53 @@ def _solve_subset(
     and B . E_j only sees the known neighbours of j. Only edges inside
     ``unknowns`` enter the matrix.
 
-    The (-1)-curves among the unknowns are blown down first
+    One pass over the unknowns checks each id, sets b_j and, until a
+    (-1)-curve turns up, builds row j of the form, so a subset with none is
+    solved as it stands. Otherwise its (-1)-curves are blown down first
     (``DualGraph._blow_down``), the right-hand side is carried through the
     record, and only the residual is eliminated; each d_E is then pulled
-    back in integers over one common denominator. A subset with no
-    (-1)-curve is solved as it stands.
+    back in integers over one common denominator.
     """
-    if not unknowns:
-        return {}
     by_id, adjacency = g._by_id, g._adjacency
-    rhs, minus = {}, False
+    index = {vid: i for i, vid in enumerate(unknowns)}
+    rows, b = [], []
     for vid in unknowns:
         v = by_id.get(vid)
         if v is None or (w := v.self_int) is None:
             break
-        if w == -1:
-            minus = True
         c = 2 + w if canonical else 0
-        if known:
+        if rows is None or w == -1:
+            rows = None
+            if known:
+                for other, mult in adjacency[vid].items():
+                    if other in known:
+                        c -= mult * known[other]
+        else:
+            row = {}
             for other, mult in adjacency[vid].items():
-                if other in known:
+                if other in index:
+                    row[index[other]] = mult
+                elif other in known:
                     c -= mult * known[other]
-        rhs[vid] = c
-    if not minus or len(rhs) != len(unknowns):
-        # a bad id or a repeated one is raised here, as intersection_matrix names it
-        matrix, order = g.intersection_matrix(unknowns)
-        record = []
+            if w:
+                row[len(rows)] = w
+            rows.append(row)
+        b.append(c)
+    if len(b) != len(unknowns) or len(index) != len(b):
+        g.intersection_matrix(unknowns)  # raises, naming the bad id or the repeated one
+    if rows is not None:
+        matrix, order, record = SymMatrix._of_rows(tuple(rows), True), unknowns, ()
     else:
+        rhs = dict(zip(unknowns, b))
         weight, nbrs, record = g._blow_down(unknowns)
         for vid, incident in record:  # a step on E adds m_a b_E to each b_a
-            if b := rhs[vid]:
+            if c := rhs[vid]:
                 for a, m in incident:
-                    rhs[a] += m * b
+                    rhs[a] += m * c
         matrix, order = _view_form(weight, nbrs)
+        b = [rhs[vid] for vid in order]
     try:
-        theta = dict(zip(order, solve(matrix, [rhs[vid] for vid in order])))
+        theta = dict(zip(order, solve(matrix, b)))
     except LinAlgError as exc:
         message = str(exc)
         if record and isinstance(exc, UnderdeterminedSystem):
@@ -292,14 +305,8 @@ def fundamental_cycle(
 def all_components_rational(g: DualGraph, subset: Sequence[str] | None = None) -> bool:
     """Whether every connected component of the (default: exceptional)
     configuration has fundamental cycle of arithmetic genus zero."""
-    ids = list(g.exceptional_ids() if subset is None else subset)
-    if not ids:
-        return True
-    for comp in g.components(ids):
-        _, pa = fundamental_cycle(g, sorted(comp))
-        if pa != 0:
-            return False
-    return True
+    ids = g.exceptional_ids() if subset is None else subset
+    return all(fundamental_cycle(g, sorted(comp))[1] == 0 for comp in g.components(ids))
 
 
 def mumford_pullback(

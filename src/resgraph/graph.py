@@ -172,7 +172,8 @@ class DualGraph:
         return [v.id for v in self.vertices if v.self_int is not None]
 
     def exceptional_ids(self) -> list[str]:
-        return [v.id for v in self.vertices if v.kind is VertexKind.EXCEPTIONAL]
+        exceptional = VertexKind.EXCEPTIONAL  # one lookup, not one per vertex
+        return [v.id for v in self.vertices if v.kind is exceptional]
 
     def labeled(self, label: str) -> list[str]:
         return [v.id for v in self.vertices if v.label == label]
@@ -394,7 +395,7 @@ class Cycle(Value):
             if type(q := given[k]) is int:  # most cycles are of ints: no call to rational
                 if q:
                     clean[k] = _fraction(q, 1)
-            elif q := rational(q):
+            elif q := (q if type(q) is Fraction else rational(q)):  # a solve's: no call
                 clean[k] = q
         object.__setattr__(self, "coefficients", clean)
         object.__setattr__(self, "_named", tuple(given))

@@ -7,7 +7,8 @@ are immutable, safe to share, and stored sparsely, integral entries as
 ``int``. ``solve``, ``definiteness`` and ``kernel_basis`` share one
 fraction-free elimination kernel on integer rows, whose minimum-degree pivot
 order peels leaves on a forest (which resolution graphs almost always are):
-no fill-in, short integers, time linear in the size.
+no fill-in, short integers, time linear in the size. A leaf's step changes
+one entry of one other row, and the kernel takes it inline.
 
 ``Value``, the base of the package's immutable value classes, lives here
 because this is the module every other one imports.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
@@ -35,8 +36,7 @@ def _fraction(numerator: int, denominator: int) -> Fraction:
     nothing there (``timeit``). ``tests/test_linalg.py`` fails if a CPython
     renames the slots."""
     value = object.__new__(Fraction)
-    value._numerator = numerator
-    value._denominator = denominator
+    value._numerator, value._denominator = numerator, denominator
     return value
 
 
@@ -184,26 +184,28 @@ def _eliminate(
 
     Each row i is held as integers, R_i and its right-hand side B_i: row i
     of M and b_i times the lcm of their denominators. When M is integral
-    (an intersection form is), that lcm is the denominator of b_i: a row
-    whose b_i is an integer, an ``int`` or a Fraction of denominator 1
-    (every row of a canonical right-hand side, and of a pinned one all but
-    the rows next to a pin), is copied as it is, and only the others are
-    scaled. A step (r, c) uses row r, pivot p = R_r[c], to clear column c
-    from each other row i as R_i := (|p|/g) R_i - sgn(p) (R_i[c]/g) R_r
-    with g = gcd(p, R_i[c]); a row so scaled by more than 1 is then
-    divided, with B_i, by its content gcd (fraction-free elimination,
-    Bareiss 1968, with gcds in place of the exact division). Every R_i
-    stays a positive multiple of the row rational elimination would hold,
-    so the zero pattern, the pivot order and the pivot signs are the same.
+    (an intersection form is), that lcm is the denominator of b_i, so a row
+    whose b_i is an integer (every row of a canonical right-hand side, and
+    of a pinned one all but the rows next to a pin) is copied as it is. A
+    step (r, c) uses row r, pivot p = R_r[c], to clear column c from each
+    other row i as R_i := (|p|/g) R_i - sgn(p) (R_i[c]/g) R_r with
+    g = gcd(p, R_i[c]); a row so scaled by more than 1 is then divided, with
+    B_i, by its content gcd (fraction-free elimination, Bareiss 1968, with
+    gcds in place of the exact division). Every R_i stays a positive
+    multiple of the row rational elimination would hold, so the zero
+    pattern, the pivot order and the pivot signs are the same.
 
     Pivots are nonzero diagonal entries of minimum current row length (ties
     to the smaller index); on a forest that peels leaves, a perfect
-    elimination order. With no nonzero diagonal left, an entry (r, c) is
-    cleared by the steps (r, c), (c, r): a 2x2 block pivot, after which the
-    remaining rows are symmetric again up to positive scaling. Returns the
-    rows, the right-hand sides, the steps, and the rows left over, which are
-    zero. A pivot row and its right-hand side never change after their
-    step, so back-substitution can replay the steps.
+    elimination order. A leaf step, on a pivot row with at most one other
+    entry (i, v), is that update inline: after the scaling it changes only
+    R_i[i] and B_i, and it takes the content gcd only when gcd(R_i[i], B_i),
+    which the content divides, is not 1. With no nonzero diagonal left, an
+    entry (r, c) is cleared by the steps (r, c), (c, r): a 2x2 block pivot,
+    after which the remaining rows are symmetric again up to positive
+    scaling. Returns the rows, the right-hand sides, the steps, and the rows
+    left over, which are zero. A pivot row and its right-hand side never
+    change after their step, so back-substitution can replay the steps.
     """
     n = M.dimension
     if b is None:
@@ -222,7 +224,8 @@ def _eliminate(
         rhs = [q.numerator for q in b]
     active = [True] * n
     steps: list[tuple[int, int]] = []
-    heap = sorted((len(row), i) for i, row in enumerate(rows) if i in row)  # a heap
+    heap = [(len(row), i) for i, row in enumerate(rows) if i in row]
+    heapify(heap)
 
     def step(r: int, c: int) -> None:
         pivot_row = rows[r]
@@ -266,10 +269,39 @@ def _eliminate(
     scan = 0
     while True:
         while heap:
-            length, i = heappop(heap)
-            if active[i] and i in rows[i] and len(rows[i]) == length:
-                step(i, i)
-                break
+            length, r = heappop(heap)
+            pivot_row = rows[r]
+            if len(pivot_row) != length or not active[r] or r not in pivot_row:
+                continue  # stale: the row changed or left since this was pushed
+            if length > 2:
+                step(r, r)
+                continue
+            active[r] = False  # a leaf step, step(r, r) inline
+            steps.append((r, r))
+            if length == 1:
+                continue
+            i, j = pivot_row
+            i = j if i == r else i
+            p, v, row = pivot_row[r], pivot_row[i], rows[i]
+            f = -row.pop(r) if p < 0 else row.pop(r)
+            size = -p if p < 0 else p
+            g = gcd(f, size)
+            scale, f = size // g, f // g
+            if scale != 1:
+                for j in row:
+                    row[j] *= scale
+                rhs[i] *= scale
+            x = row.get(i, 0) - f * v
+            rhs[i] = b_i = rhs[i] - f * rhs[r]
+            if x:
+                row[i] = x
+                heappush(heap, (len(row), i))  # a division below keeps the length
+            else:  # f v is not 0, so the diagonal was there and cancelled
+                del row[i]
+            if scale != 1 and gcd(x, b_i) != 1 and (g := gcd(*row.values(), b_i)) > 1:
+                for j in row:
+                    row[j] //= g
+                rhs[i] = b_i // g
         else:
             # A row that is empty stays empty, so the scan never goes back.
             while scan < n and not (active[scan] and rows[scan]):
@@ -290,7 +322,8 @@ def _back_substitute(
     Each x[j] is a (numerator, denominator) pair in lowest terms with a
     positive denominator, a zero being (0, 1). The sums keep that form with
     the gcd steps of ``Fraction`` addition, so each Fraction is built once,
-    at the end, without another gcd.
+    at the end, without another gcd. While a sum is still an integer, its
+    first fractional term sets it directly, with no gcd at all.
     """
     for r, c in reversed(steps):
         row = rows[r]
@@ -306,6 +339,9 @@ def _back_substitute(
             # subtraction as Fraction._add does it.
             g = gcd(v, xd)
             tn, td = v // g * xn, xd // g
+            if sd == 1:  # sn td - tn is prime to td, as tn is
+                sn, sd = sn * td - tn, td
+                continue
             g = gcd(sd, td)
             s = sd // g
             t = sn * (td // g) - tn * s
@@ -316,7 +352,12 @@ def _back_substitute(
             sn, p = -sn, -p
         g = gcd(sn, p)
         x[c] = (sn // g, sd * (p // g))
-    return [_fraction(num, den) for num, den in x]
+    values = []
+    for num, den in x:  # _fraction, inline
+        value = object.__new__(Fraction)
+        value._numerator, value._denominator = num, den
+        values.append(value)
+    return values
 
 
 def solve(M: SymMatrix, b: Sequence[Fraction | int]) -> list[Fraction]:

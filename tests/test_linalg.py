@@ -1,6 +1,7 @@
 import pickle
 import random
 from fractions import Fraction
+from heapq import heappush
 from math import gcd, log2
 
 import pytest
@@ -21,14 +22,17 @@ from resgraph.linalg import (
     solve,
 )
 from resgraph.graph import DualGraph, Vertex, VertexKind
+import util
 from util import (
     ade_graph,
     apply,
     attach_fork_tail,
+    back_substitute_oracle,
     dense_definiteness,
     dense_kernel_basis,
     dense_rows,
     dense_solve,
+    eliminate_oracle,
     lcm_rows,
     negated,
     pd_by_leading_minors,
@@ -357,6 +361,15 @@ def test_solve_large_tree_and_chain_residuals():
         assert apply(m, solve(m, b)) == b
 
 
+def _within_hadamard(m: SymMatrix) -> None:
+    """The integer rows stay within Hadamard's bound on the minors of M, as
+    Bareiss's exact divisions would keep them: the content gcds stop the
+    growth that repeated scaling alone would cause."""
+    rows, _, _, _ = linalg._eliminate(m)
+    hadamard = sum(log2(sum(x * x for x in row.values())) / 2 for row in m._rows)
+    assert max(abs(v).bit_length() for row in rows for v in row.values()) <= hadamard
+
+
 def test_kernel_matches_dense_oracle_on_graphs_with_cycles():
     rng = random.Random(8088)
     cycles = 0
@@ -365,13 +378,9 @@ def test_kernel_matches_dense_oracle_on_graphs_with_cycles():
         cycles += len(g.edges()) - (n - 1)
         m, _ = g.intersection_matrix()
         _agrees_with_dense(m, rng)
-        # The integer rows stay within Hadamard's bound on the minors of M,
-        # as Bareiss's exact divisions would keep them: the content gcds
-        # stop the growth that repeated scaling alone would cause.
-        rows, _, _, _ = linalg._eliminate(m)
-        hadamard = sum(log2(sum(x * x for x in m.row(i))) / 2 for i in range(n))
-        assert max(abs(v).bit_length() for row in rows for v in row.values()) <= hadamard
+        _within_hadamard(m)
     assert cycles == 1 + 2 + 3 + 4 + 6
+    _within_hadamard(random_tree_graph(rng, 2000).intersection_matrix()[0])
 
 
 def test_kernel_matches_dense_oracle_with_row_scaling_and_block_pivots():
@@ -393,6 +402,94 @@ def test_kernel_matches_dense_oracle_with_row_scaling_and_block_pivots():
         _, _, steps, _ = linalg._eliminate(m)
         blocks += sum(r != c for r, c in steps) // 2
     assert scaled >= 100 and blocks >= 100
+
+
+def _kernel_cases(rng: random.Random):
+    """(matrix, right-hand side or None) pairs of each shape the kernel
+    meets: trees, forests with isolated curves, graphs with cycles, each
+    under a canonical, a pinned and no right-hand side, and sparse rational
+    matrices with mostly zero diagonals."""
+    graphs = []
+    for n in (1, 2, 5, 12, 30, 60, 120, 200):
+        for weights in ((-2, -3, -4, -5), (-1, -2), (-1, -2, -3)):
+            tree = random_tree_graph(rng, n, weights)
+            graphs.append(tree)
+            kept = {e: m for e, m in tree.edges().items() if rng.random() < 0.6}
+            graphs.append(DualGraph("forest", tree.vertices, kept))
+    graphs += [random_cyclic_graph(rng, n) for n in (10, 30, 60, 100)]
+    for g in graphs:
+        m, order = g.intersection_matrix()
+        yield m, None
+        yield m, [2 + g.vertex(vid).self_int for vid in order]
+        ids = g.ids()
+        pins = {vid: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                for vid in rng.sample(ids, len(ids) // 3)}
+        m, order = g.intersection_matrix([vid for vid in ids if vid not in pins])
+        b = []
+        for vid in order:
+            c = 2 + g.vertex(vid).self_int
+            for other, mult in g.neighbors(vid):
+                if other in pins:
+                    c -= mult * pins[other]
+            b.append(c)
+        yield m, b
+    for _ in range(100):
+        n = rng.randint(2, 12)
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < (0.15 if i == j else 2.5 / n):
+                    q = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2, 3, 4, 6]))
+                    rows[i][j] = rows[j][i] = q
+        yield sym_matrix(rows), [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+
+
+def test_kernel_and_back_substitution_match_the_step_only_oracle(monkeypatch):
+    """The leaf step is step(r, r) inline: the kernel returns the rows,
+    right-hand sides, steps and rows left over that the general update
+    alone gives, after pushing as many heap entries, and back-substitution
+    the values Fraction arithmetic gives."""
+    pushes = {linalg: 0, util: 0}
+
+    def counting(module):
+        def push(heap, item):
+            pushes[module] += 1
+            heappush(heap, item)
+        return push
+
+    for module in pushes:
+        monkeypatch.setattr(module, "heappush", counting(module))
+    rng = random.Random(1968)
+    counts = {"isolated": 0, "leaf": 0, "general": 0, "block": 0, "rest": 0, "solved": 0}
+    for m, b in _kernel_cases(rng):
+        got = linalg._eliminate(m, b)
+        assert got == eliminate_oracle(m, b)
+        assert pushes[linalg] == pushes[util]
+        rows, rhs, steps, rest = got
+        for r, c in steps:
+            if r != c:
+                counts["block"] += 1
+            else:
+                counts[("isolated", "leaf")[len(rows[r]) - 1] if len(rows[r]) <= 2 else "general"] += 1
+        counts["rest"] += bool(rest)
+        if b is not None and not rest:
+            counts["solved"] += 1
+            zeros = [Fraction(0)] * m.dimension
+            x = linalg._back_substitute(rows, steps, rhs, [(0, 1)] * m.dimension)
+            assert x == back_substitute_oracle(rows, steps, rhs, zeros)
+            assert all(map(_reduced, x))
+    assert min(counts.values()) >= 50, counts
+
+
+def test_trees_peel_leaves_with_no_fill_in():
+    """On a tree the minimum-degree order is a perfect elimination order:
+    n diagonal steps, each pivot row, frozen at its step, a leaf's."""
+    rng = random.Random(4000)
+    for n in (200, 2000):
+        m, _ = random_tree_graph(rng, n).intersection_matrix()
+        rows, _, steps, rest = linalg._eliminate(m)
+        assert len(steps) == n and not rest
+        assert all(r == c and len(rows[r]) <= 2 for r, c in steps)
 
 
 def test_entries_are_fractions_whatever_the_storage():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd, lcm
 from typing import Mapping, Sequence
@@ -221,6 +222,85 @@ def lcm_rows(M: SymMatrix, b: Sequence) -> tuple[SymMatrix, list[int]]:
         rows.append({j: int(v * scale) for j, v in entries.items()})
         rhs.append(int(q * scale))
     return SymMatrix._of_rows(tuple(rows), True), rhs
+
+
+def eliminate_oracle(
+    M: SymMatrix, b: Sequence | None = None
+) -> tuple[list[dict[int, int]], list[int], list[tuple[int, int]], list[int]]:
+    """The library's elimination kernel as it was before its leaf step:
+    the same integer rows, minimum-degree pivot order and 2x2 block pivots,
+    with every step, a leaf's too, taken by the one general row update."""
+    n = M.dimension
+    b = [Fraction(0)] * n if b is None else [Fraction(q) for q in b]
+    rows, rhs = [], []
+    for row, q in zip(M._rows, b):
+        entries = {j: Fraction(v) for j, v in row.items()}
+        scale = lcm(q.denominator, *(v.denominator for v in entries.values()))
+        rows.append({j: v.numerator * (scale // v.denominator) for j, v in entries.items()})
+        rhs.append(q.numerator * (scale // q.denominator))
+    active = [True] * n
+    steps: list[tuple[int, int]] = []
+    heap = sorted((len(row), i) for i, row in enumerate(rows) if i in row)
+
+    def step(r: int, c: int) -> None:
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        active[r] = False
+        steps.append((r, c))
+        others = [(j, v) for j, v in pivot_row.items() if j != c]
+        negative, size, b_r = p < 0, abs(p), rhs[r]
+        for i in rows[c]:
+            if i == r:
+                continue
+            row = rows[i]
+            f = -row.pop(c) if negative else row.pop(c)
+            g = gcd(f, size)
+            scale, f = size // g, f // g
+            if scale != 1:
+                for j in row:
+                    row[j] *= scale
+                rhs[i] *= scale
+            for j, v in others:
+                x = row.get(j, 0) - f * v
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            rhs[i] -= f * b_r
+            if scale != 1 and (g := gcd(*row.values(), rhs[i])) > 1:
+                for j in row:
+                    row[j] //= g
+                rhs[i] //= g
+            if i in row:
+                heappush(heap, (len(row), i))
+
+    scan = 0
+    while True:
+        while heap:
+            length, i = heappop(heap)
+            if active[i] and i in rows[i] and len(rows[i]) == length:
+                step(i, i)
+                break
+        else:
+            while scan < n and not (active[scan] and rows[scan]):
+                scan += 1
+            if scan == n:
+                break
+            c = min(rows[scan])
+            step(scan, c)
+            step(c, scan)
+    return rows, rhs, steps, [i for i in range(n) if active[i]]
+
+
+def back_substitute_oracle(rows, steps, rhs, x: list[Fraction]) -> list[Fraction]:
+    """Replay the steps last first in Fraction arithmetic: x[c] = (B_r -
+    sum of R_r[j] x[j] over j != c) / R_r[c]. Other entries are given."""
+    x = list(x)
+    for r, c in reversed(steps):
+        row = rows[r]
+        s = Fraction(rhs[r]) - sum(v * x[j] for j, v in row.items() if j != c)
+        x[c] = s / row[c]
+    return x
 
 
 def dense_kernel_basis(M: SymMatrix) -> list[list[int]]:
