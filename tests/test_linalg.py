@@ -467,10 +467,8 @@ def test_kernel_and_back_substitution_match_the_step_only_oracle(monkeypatch):
         assert pushes[linalg] == pushes[util]
         rows, rhs, steps, rest = got
         for r, c in steps:
-            if r != c:
-                counts["block"] += 1
-            else:
-                counts[("isolated", "leaf")[len(rows[r]) - 1] if len(rows[r]) <= 2 else "general"] += 1
+            kind = ("isolated", "leaf", "general")[min(len(rows[r]), 3) - 1]
+            counts["block" if r != c else kind] += 1
         counts["rest"] += bool(rest)
         if b is not None and not rest:
             counts["solved"] += 1
