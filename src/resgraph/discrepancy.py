@@ -26,7 +26,6 @@ from .linalg import (
     LinAlgError,
     SymMatrix,
     UnderdeterminedSystem,
-    _eliminate,
     _fraction,
     definiteness,
     rational,
@@ -136,7 +135,7 @@ def _solve_subset(
         if record and isinstance(exc, UnderdeterminedSystem):
             # each blow-down is a -1 pivot, so the whole system's rank is the
             # residual's plus one per step; solve words it so
-            rank = len(_eliminate(matrix)[2]) + len(record)
+            rank = exc.rank + len(record)
             message = f"rank {rank} < {len(unknowns)}: solutions exist but are not unique"
         raise SingularConfiguration(message) from exc
     if not record:

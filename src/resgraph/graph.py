@@ -231,28 +231,17 @@ class DualGraph:
         multiplicities. Returns the matrix plus the vertex order used; the
         cost is linear in the subset size plus its edges."""
         order = list(self.complete_ids() if subset is None else subset)
-        by_id, adjacency = self._by_id, self._adjacency
-        index = {vid: i for i, vid in enumerate(order)}
-        # the graph's checks made every self-intersection and multiplicity
-        # an int, and the adjacency is symmetric: the rows need none of the
-        # checks and conversions of from_sparse
-        rows = []
-        for i, vid in enumerate(order):
+        by_id, weight = self._by_id, {}
+        for vid in order:
             v = by_id.get(vid)
             if v is None:
                 raise UnknownVertex(f"no vertex {vid!r}")
-            if v.self_int is None:
+            if (w := v.self_int) is None:
                 raise TransversalInSubset(f"{vid!r} is transversal")
-            row = {}
-            for w, mult in adjacency[vid].items():
-                if w in index:
-                    row[index[w]] = mult
-            if v.self_int:
-                row[i] = v.self_int
-            rows.append(row)
-        if len(index) != len(order):
+            weight[vid] = w
+        if len(weight) != len(order):
             raise GraphError("subset contains repeated ids")
-        return SymMatrix._of_rows(tuple(rows), True), order
+        return _view_form(weight, self._adjacency)
 
     def _int_view(self, ids: Iterable[str]) -> tuple[dict, dict[str, dict[str, int]]]:
         """Mutable plain copies of the self-intersections of the given
@@ -346,9 +335,12 @@ def _view_parts(weight: dict, nbrs: dict, record: list, complete: bool = False) 
 
 
 def _view_form(weight: dict, nbrs: dict[str, dict[str, int]]) -> tuple[SymMatrix, list[str]]:
-    """The intersection form of a view, in its order, as
-    ``intersection_matrix`` builds it; of the transversal germs in the view,
-    the smallest id is named, whichever order the view was built in."""
+    """The intersection form of the curves of ``weight``, in its order, with
+    the multiplicities in ``nbrs`` between them (others are skipped, so a
+    graph's adjacency serves too). A graph's checks made every entry an int
+    and the adjacency symmetric, and a blow-down keeps both, so the rows need
+    none of the checks of ``from_sparse``. Of the transversal germs in
+    ``weight``, the smallest id is named, whichever order it was built in."""
     order = list(weight)
     index = {vid: i for i, vid in enumerate(order)}
     rows = []
@@ -356,7 +348,7 @@ def _view_form(weight: dict, nbrs: dict[str, dict[str, int]]) -> tuple[SymMatrix
         if (w := weight[vid]) is None:
             germ = min(v for v in order if weight[v] is None)
             raise TransversalInSubset(f"{germ!r} is transversal")
-        row = {index[b]: m for b, m in nbrs[vid].items()}
+        row = {index[b]: m for b, m in nbrs[vid].items() if b in index}
         if w:
             row[i] = w
         rows.append(row)

@@ -4,11 +4,11 @@ definiteness and kernels.
 Every result is an exact rational: a ``fractions.Fraction`` in lowest terms
 with a positive denominator; nothing in this module ever rounds. Matrices
 are immutable, safe to share, and stored sparsely, integral entries as
-``int``. ``solve``, ``definiteness`` and ``kernel_basis`` share one
-fraction-free elimination kernel on integer rows, whose minimum-degree pivot
-order peels leaves on a forest (which resolution graphs almost always are):
-no fill-in, short integers, time linear in the size. A leaf's step changes
-one entry of one other row, and the kernel takes it inline.
+``int``. ``solve``, ``definiteness`` (its kernel too) and ``kernel_basis``
+each answer from one run of a fraction-free elimination kernel on integer
+rows, whose minimum-degree pivot order peels leaves on a forest (which
+resolution graphs almost always are): no fill-in, short integers, time
+linear in the size, with each leaf's one-entry update taken inline.
 
 ``Value``, the base of the package's immutable value classes, lives here
 because this is the module every other one imports.
@@ -49,7 +49,11 @@ class SingularMatrix(LinAlgError):
 
 
 class UnderdeterminedSystem(LinAlgError):
-    """The system M x = b is solvable but the solution is not unique."""
+    """M x = b is solvable but not uniquely; ``rank`` is M's, if given."""
+
+    def __init__(self, message: str, rank: int | None = None):
+        super().__init__(message)
+        self.rank = rank
 
 
 class Value:
@@ -363,9 +367,9 @@ def _back_substitute(
 def solve(M: SymMatrix, b: Sequence[Fraction | int]) -> list[Fraction]:
     """Solve M x = b exactly.
 
-    Raises SingularMatrix when no solution exists and UnderdeterminedSystem
-    when the solution is not unique; the returned x satisfies M x = b
-    bit-exactly.
+    Raises SingularMatrix when no solution exists and UnderdeterminedSystem,
+    with the rank of M, when the solution is not unique; the returned x
+    satisfies M x = b bit-exactly.
     """
     n = M.dimension
     b = [v if isinstance(v, int) else rational(v) for v in b]
@@ -376,9 +380,8 @@ def solve(M: SymMatrix, b: Sequence[Fraction | int]) -> list[Fraction]:
     if any(rhs[i] for i in rest):
         raise SingularMatrix("no solution: b is outside the column space")
     if rest:
-        raise UnderdeterminedSystem(
-            f"rank {len(steps)} < {n}: solutions exist but are not unique"
-        )
+        rank = len(steps)
+        raise UnderdeterminedSystem(f"rank {rank} < {n}: solutions exist but are not unique", rank)
     return _back_substitute(rows, steps, rhs, [(0, 1)] * n)
 
 
@@ -423,8 +426,11 @@ def kernel_basis(M: SymMatrix) -> list[list[int]]:
     vector that is 1 there and 0 on the other such columns. So the result is
     deterministic and independent of the pivot order.
     """
-    n = M.dimension
-    rows, zeros, steps, free = _eliminate(M)
+    return _kernel(M.dimension, *_eliminate(M))
+
+
+def _kernel(n: int, rows, zeros: list[int], steps, free: list[int]) -> list[list[int]]:
+    """``kernel_basis`` read off ``_eliminate(M)``, with no right-hand side."""
     basis = []
     for f in free:
         x = [(0, 1)] * n
@@ -472,22 +478,17 @@ class Definiteness:
 
 def definiteness(M: SymMatrix) -> Definiteness:
     """Classify M as negative definite, negative semidefinite (with corank
-    and kernel basis), or indefinite. It raises LinAlgError only if the
-    elimination and ``kernel_basis`` disagree on the corank, a defect.
+    and kernel basis), or indefinite, from one elimination.
 
     By Sylvester's law of inertia M is negative semidefinite exactly when
     every pivot is a negative diagonal entry; a 2x2 block pivot has one
-    eigenvalue of each sign. The corank is the number of rows left over.
+    eigenvalue of each sign. The corank is the number of rows left over,
+    and the kernel, ``kernel_basis``'s, is read off the same elimination.
     """
-    rows, _, steps, rest = _eliminate(M)
+    rows, zeros, steps, rest = _eliminate(M)
     if any(r != c or rows[r][r] > 0 for r, c in steps):
         return Definiteness(INDEFINITE)
-    corank = len(rest)
-    if corank == 0:
+    if not rest:
         return Definiteness(NEGATIVE_DEFINITE)
-    kernel = kernel_basis(M)
-    if len(kernel) != corank:
-        raise LinAlgError(
-            f"elimination found corank {corank} but the kernel has dimension {len(kernel)}"
-        )
-    return Definiteness(NEGATIVE_SEMIDEFINITE, corank, kernel)
+    kernel = _kernel(M.dimension, rows, zeros, steps, rest)
+    return Definiteness(NEGATIVE_SEMIDEFINITE, len(rest), kernel)

@@ -212,7 +212,7 @@ def test_no_elimination_is_larger_than_the_residual(monkeypatch):
         builds.clear()
         if base is FIBER:
             assert isinstance(out, CurveFiber)
-            assert kernels == [1]
+            assert kernels == [] and dims == [1]  # one elimination, of the 1x1 residual
             with pytest.raises(SingularConfiguration, match="no solution"):
                 codiscrepancies(g)
             assert raised == [1]  # solve raised, on the residual 0-curve
@@ -331,6 +331,23 @@ def test_a_curve_raised_off_minus_one_is_skipped_and_none_enters_the_heap_twice(
         entered = [v.id for v in g.vertices if v.self_int == -1] + pushed
         assert len(entered) == len(set(entered))
         assert {vid for vid, _ in record} <= set(entered)
+
+
+def test_k_point_blow_ups_take_k_steps_back_to_their_base():
+    """Each point blow-up adds one (-1)-curve, so blowing all of them down
+    takes exactly k steps: to nothing over a smooth point, and to the base's
+    own form over an ADE base, which holds no (-1)-curve. A curve raised to
+    -1 on the way must be pushed, or it is never blown down."""
+    rng = random.Random("k-steps")
+    for base in [SMOOTH] + BASES[2:]:
+        for k in (1, 10, 80):
+            g = point_blowups(rng, base, k)
+            weight, nbrs, record = g._blow_down(g.ids())
+            assert len(record) == k, (base.name, k)
+            if base is SMOOTH:
+                assert weight == nbrs == {}
+            residual = g._from_view(weight, nbrs)
+            assert residual.intersection_matrix() == base.intersection_matrix()
 
 
 # -- one blow-down per id set, shared read-only ------------------------------

@@ -26,10 +26,12 @@ import util
 from util import (
     ade_graph,
     apply,
+    attach_chain,
     attach_fork_tail,
     back_substitute_oracle,
     dense_definiteness,
     dense_kernel_basis,
+    dense_rank,
     dense_rows,
     dense_solve,
     eliminate_oracle,
@@ -127,8 +129,10 @@ def test_solve_singular_no_solution():
 
 def test_solve_underdetermined():
     m = sym_matrix([[1, 1], [1, 1]])
-    with pytest.raises(UnderdeterminedSystem):
+    with pytest.raises(UnderdeterminedSystem) as info:
         solve(m, [1, 1])
+    assert info.value.rank == dense_rank(m) == 1
+    assert UnderdeterminedSystem("not unique").rank is None
 
 
 def test_definiteness_negative_definite_1x1():
@@ -215,11 +219,27 @@ def test_kernel_basis_dimension():
 
 
 def _outcome(fn, *args):
-    """The result of fn, or the type of the linear algebra error it raised."""
+    """The result of fn, or the type of the linear algebra error it raised;
+    ``solve`` must give an UnderdeterminedSystem the dense oracle's rank."""
     try:
         return fn(*args)
     except (SingularMatrix, UnderdeterminedSystem) as exc:
+        if fn is solve and type(exc) is UnderdeterminedSystem:
+            assert exc.rank == dense_rank(args[0])
         return type(exc)
+
+
+def _eliminations(fn, *args):
+    """fn(*args), and the dimensions of the matrices it eliminated."""
+    dims, eliminate = [], linalg._eliminate
+
+    def counting(M, b=None):
+        dims.append(M.dimension)
+        return eliminate(M, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_eliminate", counting)
+        return fn(*args), dims
 
 
 def _reduced(x) -> bool:
@@ -239,7 +259,8 @@ def _agrees_with_dense(m: SymMatrix, rng: random.Random) -> tuple[str, int]:
         assert got == _outcome(dense_solve, m, b)
         if isinstance(got, list):
             assert all(map(_reduced, got))
-    res = definiteness(m)
+    res, dims = _eliminations(definiteness, m)
+    assert dims == [n]  # the kernel too is read off that one elimination
     assert (res.kind, res.corank, res.kernel) == dense_definiteness(m)
     kernel = kernel_basis(m)
     assert kernel == dense_kernel_basis(m)
@@ -402,6 +423,32 @@ def test_kernel_matches_dense_oracle_with_row_scaling_and_block_pivots():
         _, _, steps, _ = linalg._eliminate(m)
         blocks += sum(r != c for r, c in steps) // 2
     assert scaled >= 100 and blocks >= 100
+
+
+def test_a_semidefinite_form_is_eliminated_once_for_its_kernel_too():
+    """Fiber residuals and the extended D4 and E8 diagrams, as they stand
+    and blown up: definiteness reads the kernel off its one elimination, and
+    it is the kernel kernel_basis and the dense oracle give. (The random,
+    graph and block-pivot cases count it in ``_agrees_with_dense``.)"""
+    rng = random.Random("one-elimination")
+    fiber = DualGraph("fiber", [Vertex("f", VertexKind.EXCEPTIONAL, 0)], {})
+    # one more curve on the fork of D4, or on the long arm of E8
+    d4, e8 = attach_chain(ade_graph("D", 4), "v2", 1), attach_chain(ade_graph("E", 8), "v7", 1)
+    cases = [(fiber, [[1]]), (d4, [[1, 2, 1, 1, 1]]), (e8, [[2, 4, 6, 5, 4, 3, 2, 3, 1]])]
+    for k in (1, 10, 80):
+        g = point_blowups(rng, fiber, k)
+        weight, nbrs, record = g._blow_down(g.ids())
+        assert len(record) == k
+        cases += [(g._from_view(weight, nbrs), [[1]]), (g, None)]
+        cases += [(point_blowups(rng, base, k), None) for base in (d4, e8)]
+    for g, want in cases:
+        m, _ = g.intersection_matrix()
+        res, dims = _eliminations(definiteness, m)
+        assert dims == [m.dimension]
+        assert (res.kind, res.corank) == (NEGATIVE_SEMIDEFINITE, 1)
+        assert res.kernel == kernel_basis(m) == dense_kernel_basis(m)
+        assert want is None or res.kernel == want
+        assert all(x > 0 for x in res.kernel[0])  # Zariski's lemma
 
 
 def _kernel_cases(rng: random.Random):

@@ -1,13 +1,20 @@
 """Property tests. Each runs a fixed sequence of examples (derandomize=True,
 no example database), so the suite stays deterministic."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resgraph.contract import ContractionError, DisconnectedGraph, classify
+from resgraph.contract import (
+    ADEType,
+    ContractionError,
+    DisconnectedGraph,
+    classify,
+    recognize_duval,
+)
 from resgraph.discrepancy import (
     DiscrepancyError,
     SingularConfiguration,
@@ -27,15 +34,22 @@ from resgraph.graph import (
     parse,
     serialize,
 )
-from resgraph.linalg import SingularMatrix, UnderdeterminedSystem, rational, solve
+from resgraph.linalg import (
+    NEGATIVE_DEFINITE,
+    SingularMatrix,
+    UnderdeterminedSystem,
+    definiteness,
+    rational,
+    solve,
+)
 from util import (
-    _dense_eliminate,
     ade_graph,
     apply,
     assert_lowest_terms,
     built_parts,
     dense_definiteness,
     dense_kernel_basis,
+    dense_rank,
     dense_rows,
     dense_solve,
     det,
@@ -75,8 +89,10 @@ def test_intersection_rows_match_the_dense_form_and_solve_reproduces_b(g, data):
     assert dense_rows(m) == dense
     b = data.draw(st.lists(st.integers(-9, 9), min_size=len(order), max_size=len(order)))
     if det(dense_rows(m)) == 0:
-        with pytest.raises((SingularMatrix, UnderdeterminedSystem)):
+        with pytest.raises((SingularMatrix, UnderdeterminedSystem)) as info:
             solve(m, b)
+        if info.type is UnderdeterminedSystem:
+            assert info.value.rank == dense_rank(m)
     else:
         assert apply(m, solve(m, b)) == b
 
@@ -250,8 +266,10 @@ def test_solve_with_a_mixed_rational_rhs_matches_the_dense_oracle(g, data):
     try:
         want = dense_solve(m, b)
     except (SingularMatrix, UnderdeterminedSystem) as exc:
-        with pytest.raises(type(exc)):
+        with pytest.raises(type(exc)) as info:
             solve(m, b)
+        if info.type is UnderdeterminedSystem:
+            assert info.value.rank == dense_rank(m)
     else:
         got = solve(m, b)
         assert_lowest_terms(got)
@@ -268,9 +286,8 @@ def dense_subset_solve(g: DualGraph, unknowns: list[str], known: dict, canonical
     except SingularMatrix:
         return SingularConfiguration, "no solution: b is outside the column space"
     except UnderdeterminedSystem:
-        rank = len(_dense_eliminate(dense_rows(m))[1])
         return SingularConfiguration, (
-            f"rank {rank} < {len(unknowns)}: solutions exist but are not unique"
+            f"rank {dense_rank(m)} < {len(unknowns)}: solutions exist but are not unique"
         )
 
 
@@ -356,3 +373,56 @@ def test_parse_reads_back_what_serialize_writes(case):
         n: set(z._named) for n, z in cycles.items()
     }
 
+
+
+@st.composite
+def minus_two_configurations(draw) -> DualGraph:
+    """A connected configuration of 1..10 (-2)-curves: a tree, grown curve
+    by curve or, more often, drawn as a star of up to four chains (mostly
+    three, short), then maybe with one extra edge, which closes a cycle, or
+    one edge doubled."""
+    if draw(st.sampled_from(("grown", "star", "star"))) == "grown":
+        n = draw(st.integers(1, 10))
+        edges = {(f"v{draw(st.integers(0, i - 1))}", f"v{i}"): 1 for i in range(1, n)}
+    else:
+        n, edges = 1, {}
+        for _ in range(draw(st.sampled_from((3, 3, 3, 4, 2, 1, 0)))):
+            if n == 10:
+                break
+            length = min(draw(st.sampled_from((1, 2, 3, 4, 5, 1, 2))), 10 - n)
+            chain = ["v0"] + [f"v{n + k}" for k in range(length)]
+            edges.update({(a, b): 1 for a, b in zip(chain, chain[1:])})
+            n += length
+    ids = [f"v{i}" for i in range(n)]
+    change = draw(st.sampled_from(("none", "none", "none", "extra", "double")))
+    apart = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
+             if (a, b) not in edges and (b, a) not in edges]
+    if change == "extra" and apart:
+        edges[draw(st.sampled_from(apart))] = 1
+    elif change == "double" and edges:
+        edges[draw(st.sampled_from(sorted(edges)))] = 2
+    return DualGraph("g", [Vertex(vid, VertexKind.EXCEPTIONAL, -2) for vid in ids], edges)
+
+
+@settings(PROPERTY, max_examples=300)  # 200 draw no E8
+@given(minus_two_configurations())
+def test_recognize_duval_names_exactly_the_negative_definite_configurations(g):
+    """Artin's criterion (Artin 1966; Du Val 1934): a connected configuration
+    of (-2)-curves is a rational double point exactly when its form is
+    negative definite. Then the forks and |det| fix the type: with no fork
+    it is A_n, and with one, |det| 4, 3, 2 and 1 give D_n, E6, E7 and E8."""
+    m, ids = g.intersection_matrix()
+    kind = definiteness(m).kind
+    assert kind == dense_definiteness(m)[0]
+    ade = recognize_duval(g)
+    assert (ade is not None) == (kind == NEGATIVE_DEFINITE)
+    if ade is None:
+        return
+    degree = Counter(vid for edge in g.edges() for vid in edge)
+    forks = [vid for vid in ids if degree[vid] >= 3]
+    if not forks:
+        assert ade == ADEType("A", len(ids))
+        return
+    assert len(forks) == 1
+    by_det = {4: ("D", len(ids)), 3: ("E", 6), 2: ("E", 7), 1: ("E", 8)}
+    assert ade == ADEType(*by_det[abs(det(dense_rows(m)))])

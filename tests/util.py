@@ -193,6 +193,11 @@ def dense_solve(M: SymMatrix, b: list[Fraction]) -> list[Fraction]:
     return x
 
 
+def dense_rank(M: SymMatrix) -> int:
+    """The rank of M: the pivot count of its column-order echelon form."""
+    return len(_dense_eliminate(dense_rows(M))[1])
+
+
 def subset_system(
     g: DualGraph, unknowns: list[str], known: Mapping[str, Fraction], canonical: bool
 ) -> tuple[SymMatrix, list[Fraction]]:
