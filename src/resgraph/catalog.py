@@ -24,7 +24,6 @@ from .contract import (
     ContractionOutcome,
     NotContractible,
     classify,
-    complete_definiteness,
     contracts_to_zero_curve,
 )
 from .discrepancy import (
@@ -38,7 +37,7 @@ from .discrepancy import (
     numerically_trivial,
 )
 from .graph import Cycle, DualGraph, GraphError, parse
-from .linalg import Definiteness, LinAlgError, format_rational, rational
+from .linalg import Definiteness, LinAlgError, definiteness, format_rational, rational
 from .wps import cdisc_from_blowup
 
 ROLE_TAIL_ROOT = "tail-root"
@@ -311,7 +310,7 @@ class EntryChecker:
 
     @cached_property
     def form(self) -> Definiteness:
-        return complete_definiteness(self.g)
+        return definiteness(self.g.intersection_matrix()[0])
 
     def pullback(self, name: str) -> Cycle:
         """The numerical pullback of the named cycle onto every complete curve."""

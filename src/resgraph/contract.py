@@ -11,8 +11,8 @@ in a single self-intersection-zero curve.
 
 from __future__ import annotations
 
-from .graph import Cycle, DualGraph, _pull_back, _view_parts
-from .linalg import Definiteness, Value, definiteness
+from .graph import Cycle, DualGraph, _pull_back, _view_form, _view_parts
+from .linalg import Value, definiteness
 
 
 class ContractionError(Exception):
@@ -146,10 +146,8 @@ def contract_minus_ones(g: DualGraph) -> DualGraph:
 
 def contracts_to_zero_curve(g: DualGraph) -> bool:
     """Whether blowing down every complete (-1)-curve leaves one complete
-    curve, of self-intersection 0."""
-    residual = contract_minus_ones(g)
-    rest = residual.complete_ids()
-    return len(rest) == 1 and residual.vertex(rest[0]).self_int == 0
+    curve, of self-intersection 0. It reads the shared view and builds no graph."""
+    return [w for w in g._blow_down(g.ids())[0].values() if w is not None] == [0]
 
 
 def recognize_duval(g: DualGraph, subset: list[str] | None = None) -> ADEType | None:
@@ -188,35 +186,13 @@ def recognize_duval(g: DualGraph, subset: list[str] | None = None) -> ADEType | 
     if len(forks) > 1 or degree[forks[0]] > 3:
         return None
     fork = forks[0]
-    lengths = []
-    for start, _ in g.neighbors(fork):
-        if start not in idset:
-            continue
-        length = 0
-        prev, cur = fork, start
-        while True:
-            length += 1
-            nexts = [w for w, _ in g.neighbors(cur) if w in idset and w != prev]
-            if not nexts:
-                break
-            prev, cur = cur, nexts[0]
-        lengths.append(length)
-    lengths.sort()
-    if lengths[:2] == [1, 1]:
-        return ADEType("D", lengths[2] + 3)
-    if lengths == [1, 2, 2]:
-        return ADEType("E", 6)
-    if lengths == [1, 2, 3]:
-        return ADEType("E", 7)
-    if lengths == [1, 2, 4]:
-        return ADEType("E", 8)
+    # a tree less its one fork of degree three: three chains, the fork's arms
+    arms = sorted(len(arm) for arm in g.components(idset - {fork}))
+    if arms[:2] == [1, 1]:
+        return ADEType("D", len(ids))
+    if arms[:2] == [1, 2] and arms[2] <= 4:
+        return ADEType("E", len(ids))
     return None
-
-
-def complete_definiteness(g: DualGraph) -> Definiteness:
-    """Definiteness of the intersection form on all complete vertices."""
-    matrix, _ = g.intersection_matrix()
-    return definiteness(matrix)
 
 
 def classify(g: DualGraph) -> ContractionOutcome:
@@ -242,14 +218,15 @@ def classify(g: DualGraph) -> ContractionOutcome:
             f"complete part has {len(comps)} components, at {named}; "
             "classify each one as its own graph"
         )
-    residual = g._from_view(weight, nbrs) if record else g
-    defres = complete_definiteness(residual)
-    rest = residual.complete_ids()
+    # the complete curves left, in vertex order: the view may be in another
+    rest = {vid: weight[vid] for vid in complete if vid in weight}
+    defres = definiteness(_view_form(rest, nbrs)[0])
 
     if defres.is_negative_definite:
         if not rest:
             return SmoothPoint()
-        ade = recognize_duval(residual, rest)
+        residual = contract_minus_ones(g)  # the only outcomes that read a graph
+        ade = recognize_duval(residual, list(rest))
         if ade is not None:
             return DuValPoint(ade)
         return RationalPoint(residual)
@@ -259,7 +236,7 @@ def classify(g: DualGraph) -> ContractionOutcome:
         # Zariski's lemma (Perron-Frobenius) it has corank 1 and a positive
         # kernel vector: here the pull-back of the one curve left, a 0-curve.
         if len(rest) == 1:
-            return CurveFiber(Cycle(_pull_back(record, {rest[0]: 1})))
+            return CurveFiber(Cycle(_pull_back(record, dict.fromkeys(rest, 1))))
         return NotContractible(
             "semidefinite with positive kernel but blow-down does not end in a zero-curve"
         )

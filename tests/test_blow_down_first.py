@@ -17,7 +17,9 @@ from resgraph.catalog import load_catalog
 from resgraph.contract import (
     ContractionError,
     CurveFiber,
+    DuValPoint,
     NotContractible,
+    RationalPoint,
     blow_down_once,
     classify,
     contract_minus_ones,
@@ -229,6 +231,61 @@ def test_no_elimination_is_larger_than_the_residual(monkeypatch):
     linalg.definiteness(g.intersection_matrix()[0])  # the counters are live
     DualGraph("live", [], {})
     assert dims == [len(g.ids())] and builds == ["live"]
+
+
+LONE = DualGraph("lone", [Vertex("a", VertexKind.EXCEPTIONAL, -3)], {})
+# the double (-3) bridge of tests/test_contract.py, with one middle curve:
+# indefinite, with the central (-1)-curve z to blow down
+BRIDGE = parse(
+    "graph bridge\nv a -3\nv b -3\nv p -3\nv e -3\nv f -2\nv g -2\nv h -2\nv i -2\n"
+    "v m0 -2\nv z -1 cen\ne a b\ne b p\ne e f\ne f g\ne f i\ne g h\ne i z\ne b m0\ne m0 e\n"
+).graph
+
+
+def test_classify_builds_only_what_it_returns(monkeypatch):
+    """``classify`` reads the shared blown-down view: it builds a residual
+    graph only for the outcomes that hold or inspect one, a rational double
+    point and another rational point, and then only when a curve was blown
+    down; it builds no intersection matrix, and eliminates once, the
+    residual's form."""
+    builds, matrices, dims = [], [], []
+    fill, matrix, eliminate = DualGraph._fill, DualGraph.intersection_matrix, linalg._eliminate
+
+    def counting_fill(self, *args):
+        builds.append(args[0])
+        fill(self, *args)
+
+    def counting_matrix(self, subset=None):
+        matrices.append(self.name)
+        return matrix(self, subset)
+
+    def counting_eliminate(M, b=None):
+        dims.append(M.dimension)
+        return eliminate(M, b)
+
+    monkeypatch.setattr(DualGraph, "_fill", counting_fill)
+    monkeypatch.setattr(DualGraph, "intersection_matrix", counting_matrix)
+    monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
+    rng = random.Random("builds")
+    ade = ade_graph("E", 7)
+    cases = [point_blowups(rng, base, k) for base in (SMOOTH, FIBER, ade, LONE) for k in (1, 10, 80)]
+    cases += [FIBER, ade, LONE, BRIDGE]  # the bases blow nothing down; BRIDGE blows down z
+    seen = set()
+    for g in cases:
+        weight, _, record = g._blow_down(g.ids())
+        n = sum(w is not None for w in weight.values())
+        builds.clear()
+        dims.clear()
+        out = classify(g)
+        seen.add(type(out).__name__)
+        reads_a_graph = isinstance(out, (DuValPoint, RationalPoint)) and record
+        assert builds == ([g.name] if reads_a_graph else []), (g.name, out)
+        assert matrices == [] and dims == [n], (g.name, out)
+    assert seen == {"SmoothPoint", "DuValPoint", "RationalPoint", "CurveFiber", "NotContractible"}
+    builds.clear()
+    dims.clear()
+    linalg.definiteness(DualGraph("live", [], {}).intersection_matrix()[0])  # the counters are live
+    assert builds == ["live"] and matrices == ["live"] and dims == [0]
 
 
 def whole_subset_solve(g, unknowns, known, canonical):

@@ -15,7 +15,6 @@ from resgraph.contract import (
     SmoothPoint,
     blow_down_once,
     classify,
-    complete_definiteness,
     contract_minus_ones,
     recognize_duval,
 )
@@ -25,6 +24,7 @@ from util import (
     ade_graph,
     arithmetic_genus,
     classify_components,
+    complete_definiteness,
     contract_oracle,
     dense_definiteness,
     dense_rows,
@@ -187,6 +187,10 @@ def test_recognize_duval_rejects_cycles_multiedges_disconnected():
         "e k a\ne k b\ne k c\ne k d\n",
         # one fork with legs (2, 2, 2)
         "e k a1\ne a1 a2\ne k b1\ne b1 b2\ne k c1\ne c1 c2\n",
+        # one fork with arms (1, 2, 5), one curve past E8
+        "e k a1\ne k b1\ne b1 b2\ne k c1\ne c1 c2\ne c2 c3\ne c3 c4\ne c4 c5\n",
+        # one fork with arms (1, 3, 3)
+        "e k a1\ne k b1\ne b1 b2\ne b2 b3\ne k c1\ne c1 c2\ne c2 c3\n",
     ],
 )
 def test_recognize_duval_rejects_trees_of_no_ade_shape(edges):

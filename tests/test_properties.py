@@ -5,13 +5,15 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from resgraph.contract import (
     ADEType,
     ContractionError,
+    CurveFiber,
     DisconnectedGraph,
+    RationalPoint,
     classify,
     recognize_duval,
 )
@@ -20,6 +22,7 @@ from resgraph.discrepancy import (
     SingularConfiguration,
     codiscrepancies,
     fundamental_cycle,
+    implied_tail_start,
     mumford_pullback,
     pinned_codiscrepancies,
 )
@@ -46,17 +49,24 @@ from util import (
     ade_graph,
     apply,
     assert_lowest_terms,
+    attach_chain,
+    attach_fork_tail,
     built_parts,
+    chain_codiscrepancy_check,
     dense_definiteness,
     dense_kernel_basis,
     dense_rank,
     dense_rows,
     dense_solve,
     det,
+    fork_codiscrepancy_check,
     inertia,
+    permuted,
     point_blowups,
+    random_tree_graph,
     relabel,
     subset_system,
+    sym_matrix,
 )
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -117,6 +127,31 @@ def test_blowing_down_keeps_the_inertia_and_pulls_back_the_kernel(g, data):
     for v in kernel:
         z = _pull_back(record, dict(zip(rest_ids, v)))
         assert apply(form, [z.get(vid, 0) for vid in ids]) == [0] * len(ids)
+
+
+def span_rank(vectors: list[list[int]]) -> int:
+    """The dimension of the span of integer vectors: the rank of their Gram
+    matrix."""
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in vectors] for u in vectors]
+    return dense_rank(sym_matrix(gram)) if vectors else 0
+
+
+@settings(PROPERTY, max_examples=100)
+@given(integral_graphs(), st.data())
+def test_kind_corank_and_kernel_survive_a_relabelling(g, data):
+    """Relabelling the curves permutes the rows and columns of the form
+    alike: the kind and corank stay, and the kernel of the permuted form is
+    the permuted kernel."""
+    m = g.intersection_matrix()[0]
+    perm = data.draw(st.permutations(range(m.dimension)))
+    form = permuted(m, perm)
+    before, after = definiteness(m), definiteness(form)
+    assert (after.kind, after.corank) == (before.kind, before.corank)
+    moved = [[v[i] for i in perm] for v in before.kernel]
+    assert span_rank(moved) == span_rank(after.kernel) == before.corank
+    assert span_rank(moved + after.kernel) == before.corank
+    for v in after.kernel:
+        assert apply(form, v) == [0] * form.dimension
 
 
 @PROPERTY
@@ -426,3 +461,87 @@ def test_recognize_duval_names_exactly_the_negative_definite_configurations(g):
     assert len(forks) == 1
     by_det = {4: ("D", len(ids)), 3: ("E", 6), 2: ("E", 7), 1: ("E", 8)}
     assert ade == ADEType(*by_det[abs(det(dense_rows(m)))])
+
+
+# every outcome: a fiber, and a lone (-3)-curve for another rational point
+ORDER_BASES = PIECE_BASES + [
+    DualGraph("fiber", [Vertex("f", EXC, 0)], {}),
+    DualGraph("lone", [Vertex("a", EXC, -3)], {}),
+    ade_graph("E", 8),
+]
+
+
+def renamed(outcome, names: dict[str, str]):
+    """The outcome that ``outcome`` names once every id is renamed by
+    ``names``."""
+    if isinstance(outcome, CurveFiber):
+        return CurveFiber(Cycle({names[v]: c for v, c in outcome.fiber.coefficients.items()}))
+    if isinstance(outcome, RationalPoint):
+        r = outcome.residual
+        vertices = [v._replace(id=names[v.id]) for v in r.vertices]
+        edges = {(names[a], names[b]): m for (a, b), m in r.edges().items()}
+        return RationalPoint(DualGraph(r.name, vertices, edges))
+    return outcome
+
+
+@settings(PROPERTY, max_examples=100)
+@given(
+    st.randoms(use_true_random=False),
+    st.randoms(use_true_random=True),
+    st.sampled_from(ORDER_BASES) | minus_two_configurations(),
+    st.integers(0, 20),
+)
+def test_classify_ignores_the_contraction_order(rng, shuffle, base, k):
+    """The (-1)-curves go smallest id first, so relabelling the curves
+    changes the order they are blown down in; the outcome, renamed, stays.
+    The relabelling takes a seeded ``random.Random``: the samples of a
+    Hypothesis-drawn one keep most ids in their order."""
+    g = point_blowups(rng, base, k)
+    assume(g.vertices)
+    h, names = relabel(g, shuffle)
+    assert classify(h) == renamed(classify(g), names)
+
+
+@st.composite
+def pinned_tails(draw):
+    """A tree of 1..5 curves of self-intersection -2..-5, with a terminal
+    (-2)-chain or a D-shaped (-2)-tail on a drawn root, and negative
+    definite: the graph, the root, the chain of the tail from its far end
+    (from the fork, for a D-shaped tail) and the tail's legs (none for a
+    chain), the free codiscrepancies, and pins of them on the root and on a
+    drawn curve of each component of the tree without the root, with a
+    drawn few more."""
+    rng = draw(st.randoms(use_true_random=False))
+    base = random_tree_graph(rng, draw(st.integers(1, 5)))
+    root = draw(st.sampled_from(base.ids()))
+    if draw(st.booleans()):
+        length, legs = draw(st.integers(1, 4)), []
+        g, chain = attach_chain(base, root, length), [f"c{i}" for i in range(length)]
+    else:
+        length, legs = draw(st.integers(0, 3)), ["fl1", "fl2"]
+        g, chain = attach_fork_tail(base, root, length), [f"fm{i}" for i in range(length)]
+    assume(definiteness(g.intersection_matrix()[0]).is_negative_definite)
+    result = codiscrepancies(g)
+    pinned = {root} | set(draw(st.lists(st.sampled_from(base.ids()))))
+    for comp in g.components(set(base.ids()) - {root}):
+        pinned.add(draw(st.sampled_from(sorted(comp))))
+    return g, root, chain, legs, result, {vid: result.values[vid] for vid in sorted(pinned)}
+
+
+@settings(PROPERTY, max_examples=100)
+@given(pinned_tails())
+def test_implied_tail_start_follows_the_terminal_chain_rule(case):
+    """Pinned at the free codiscrepancies, the root's equation gives the tail
+    curve next to the root its free value, and the rule of the tail turns
+    that into the step across the root's edge: the chain's first value, as
+    ``chain_codiscrepancy_check`` confirms the progression through the root,
+    or 0 past a fork, as ``fork_codiscrepancy_check`` confirms the values
+    constant through the root."""
+    g, root, chain, legs, result, pins = case
+    start = implied_tail_start(g, root, pins)
+    if legs:
+        assert fork_codiscrepancy_check(g, result, legs, "fk", chain + [root])
+        assert start == 0
+    else:
+        assert chain_codiscrepancy_check(g, result, chain + [root])
+        assert start == result.values[chain[0]]

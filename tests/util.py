@@ -5,8 +5,9 @@ eliminate in plain column order, with none of the library's sparse pivoting.
 
 It also holds the reference checks that left the library because only tests
 called them (the free-versus-pinned consistency test, the chain and fork
-codiscrepancy rules, per-component classification) and the ``ade_graph``
-generator of the rational-double-point graphs."""
+codiscrepancy rules, per-component classification, the definiteness of a
+graph's whole complete form) and the ``ade_graph`` generator of the
+rational-double-point graphs."""
 
 from __future__ import annotations
 
@@ -41,9 +42,11 @@ from resgraph.linalg import (
     INDEFINITE,
     NEGATIVE_DEFINITE,
     NEGATIVE_SEMIDEFINITE,
+    Definiteness,
     SingularMatrix,
     SymMatrix,
     UnderdeterminedSystem,
+    definiteness,
     primitive_integer_vector,
     rational,
 )
@@ -573,6 +576,13 @@ def contract_oracle(g: DualGraph, choose=min) -> DualGraph:
         if not candidates:
             return current
         current = blow_down_once(current, choose(candidates))
+
+
+def complete_definiteness(g: DualGraph) -> Definiteness:
+    """Definiteness of the intersection form on all complete vertices
+    (``classify`` reads it off the blown-down residual instead)."""
+    matrix, _ = g.intersection_matrix()
+    return definiteness(matrix)
 
 
 def classify_oracle(g: DualGraph, choose=min) -> ContractionOutcome:
