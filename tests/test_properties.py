@@ -58,6 +58,7 @@ from util import (
     dense_rank,
     dense_rows,
     dense_solve,
+    dense_subset_solve,
     det,
     fork_codiscrepancy_check,
     inertia,
@@ -309,21 +310,6 @@ def test_solve_with_a_mixed_rational_rhs_matches_the_dense_oracle(g, data):
         got = solve(m, b)
         assert_lowest_terms(got)
         assert got == want
-
-
-def dense_subset_solve(g: DualGraph, unknowns: list[str], known: dict, canonical: bool):
-    """The subset solve on the whole subset, by dense elimination: the values
-    in the order of ``unknowns``, or the error type and message the library
-    gives, with the rank of the whole system."""
-    m, b = subset_system(g, unknowns, known, canonical)
-    try:
-        return dict(zip(unknowns, dense_solve(m, b)))
-    except SingularMatrix:
-        return SingularConfiguration, "no solution: b is outside the column space"
-    except UnderdeterminedSystem:
-        return SingularConfiguration, (
-            f"rank {dense_rank(m)} < {len(unknowns)}: solutions exist but are not unique"
-        )
 
 
 @PROPERTY

@@ -35,6 +35,7 @@ from resgraph.discrepancy import (
     CodiscrepancyResult,
     DiscrepancyError,
     NotNegativeDefinite,
+    SingularConfiguration,
     codiscrepancies,
 )
 from resgraph.graph import Cycle, DualGraph, TransversalInSubset, Vertex, VertexKind, cycle_dot
@@ -214,6 +215,21 @@ def subset_system(
         for vid in order
     ]
     return matrix, b
+
+
+def dense_subset_solve(g: DualGraph, unknowns: list[str], known: dict, canonical: bool):
+    """The subset solve on the whole subset, by dense elimination: the values
+    in the order of ``unknowns``, or the error type and message the library
+    gives, with the rank of the whole system."""
+    m, b = subset_system(g, unknowns, known, canonical)
+    try:
+        return dict(zip(unknowns, dense_solve(m, b)))
+    except SingularMatrix:
+        return SingularConfiguration, "no solution: b is outside the column space"
+    except UnderdeterminedSystem:
+        return SingularConfiguration, (
+            f"rank {dense_rank(m)} < {len(unknowns)}: solutions exist but are not unique"
+        )
 
 
 def lcm_rows(M: SymMatrix, b: Sequence) -> tuple[SymMatrix, list[int]]:
