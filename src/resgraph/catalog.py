@@ -37,7 +37,7 @@ from .discrepancy import (
     numerically_trivial,
 )
 from .graph import Cycle, DualGraph, GraphError, parse
-from .linalg import Definiteness, LinAlgError, definiteness, format_rational, rational
+from .linalg import Definiteness, LinAlgError, format_rational, rational
 from .wps import cdisc_from_blowup
 
 ROLE_TAIL_ROOT = "tail-root"
@@ -308,9 +308,10 @@ class EntryChecker:
         except ContractionError as exc:
             return exc
 
-    @cached_property
+    @property
     def form(self) -> Definiteness:
-        return definiteness(self.g.intersection_matrix()[0])
+        """The definiteness that ``classify`` read off the blown-down form."""
+        return self.outcome._form
 
     def pullback(self, name: str) -> Cycle:
         """The numerical pullback of the named cycle onto every complete curve."""

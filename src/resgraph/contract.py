@@ -62,7 +62,7 @@ class ContractionOutcome(Value):
     """Base class; concrete outcomes below. An outcome renders as its class
     name, except a rational double point, which adds its type."""
 
-    __slots__ = ()
+    __slots__ = ("_form",)  # private: the Definiteness that classify read
 
     def render(self) -> str:
         return type(self).__name__
@@ -199,7 +199,8 @@ def classify(g: DualGraph) -> ContractionOutcome:
     """Decide what the configuration of complete curves contracts to.
 
     First contract every (-1)-curve, then classify the residual's form,
-    whose kind is the configuration's. Negative definite: an empty residual
+    whose kind and corank are the configuration's; the outcome, or the
+    error raised, carries it in ``_form``. Negative definite: an empty residual
     is a smooth point, an ADE residual a rational double point, anything
     else some other rational point (returned with the residual graph).
     Negative semidefinite (then of corank one, with a strictly positive
@@ -208,36 +209,36 @@ def classify(g: DualGraph) -> ContractionOutcome:
     Everything else: not contractible, with the failed criterion named.
     """
     complete = g.complete_ids()
-    if not complete:
-        raise NoCompleteVertices("no complete vertices to contract")
     weight, nbrs, record = g._blow_down(g.ids())
-    if _view_parts(weight, nbrs, record, complete=True) > 1:
+    # the complete curves left, in vertex order: the view may be in another
+    rest = {vid: weight[vid] for vid in complete if vid in weight}
+    form = definiteness(_view_form(rest, nbrs)[0])
+    if not complete:
+        result = NoCompleteVertices("no complete vertices to contract")
+    elif _view_parts(weight, nbrs, record, complete=True) > 1:
         comps = g.components(complete)
         named = ", ".join(repr(min(comp)) for comp in comps)
-        raise DisconnectedGraph(
+        result = DisconnectedGraph(
             f"complete part has {len(comps)} components, at {named}; "
             "classify each one as its own graph"
         )
-    # the complete curves left, in vertex order: the view may be in another
-    rest = {vid: weight[vid] for vid in complete if vid in weight}
-    defres = definiteness(_view_form(rest, nbrs)[0])
-
-    if defres.is_negative_definite:
-        if not rest:
-            return SmoothPoint()
+    elif form.is_negative_definite and not rest:
+        result = SmoothPoint()
+    elif form.is_negative_definite:
         residual = contract_minus_ones(g)  # the only outcomes that read a graph
         ade = recognize_duval(residual, list(rest))
-        if ade is not None:
-            return DuValPoint(ade)
-        return RationalPoint(residual)
-
-    if defres.is_negative_semidefinite:
+        result = RationalPoint(residual) if ade is None else DuValPoint(ade)
+    elif form.is_negative_semidefinite and len(rest) == 1:
         # The form is connected with nonnegative off-diagonal entries, so by
         # Zariski's lemma (Perron-Frobenius) it has corank 1 and a positive
         # kernel vector: here the pull-back of the one curve left, a 0-curve.
-        if len(rest) == 1:
-            return CurveFiber(Cycle(_pull_back(record, dict.fromkeys(rest, 1))))
-        return NotContractible(
+        result = CurveFiber(Cycle(_pull_back(record, dict.fromkeys(rest, 1))))
+    else:
+        result = NotContractible(
             "semidefinite with positive kernel but blow-down does not end in a zero-curve"
+            if form.is_negative_semidefinite else "intersection form is indefinite"
         )
-    return NotContractible("intersection form is indefinite")
+    object.__setattr__(result, "_form", form)
+    if isinstance(result, ContractionError):
+        raise result
+    return result

@@ -395,9 +395,6 @@ class Cycle(Value):
     def coeff(self, vid: str) -> Fraction:
         return self.coefficients.get(vid, _ZERO)
 
-    def support(self) -> list[str]:
-        return sorted(self.coefficients)
-
     def __add__(self, other: "Cycle") -> "Cycle":
         merged = dict(self.coefficients)
         for k, v in other.coefficients.items():

@@ -276,7 +276,10 @@ def _eliminate(
             length, r = heappop(heap)
             pivot_row = rows[r]
             if len(pivot_row) != length or not active[r] or r not in pivot_row:
-                continue  # stale: the row changed or left since this was pushed
+                # stale: the row changed or stepped since; after the last step, all are
+                if len(steps) == n:
+                    heap.clear()
+                continue
             if length > 2:
                 step(r, r)
                 continue

@@ -1,7 +1,7 @@
 import pickle
 import random
 from fractions import Fraction
-from heapq import heappush
+from heapq import heappop, heappush
 from math import gcd, log2
 
 import pytest
@@ -535,6 +535,25 @@ def test_trees_peel_leaves_with_no_fill_in():
         rows, _, steps, rest = linalg._eliminate(m)
         assert len(steps) == n and not rest
         assert all(r == c and len(rows[r]) <= 2 for r, c in steps)
+
+
+def test_the_kernel_stops_popping_once_every_row_has_stepped(monkeypatch):
+    """A leaf step pushes its neighbour's new length, and the neighbour's
+    older entries come up stale after it has stepped. Once every row has
+    stepped the heap is dropped: one stale pop, not one per entry left."""
+    pops = []
+
+    def counting(heap):
+        pops.append(1)
+        return heappop(heap)
+
+    monkeypatch.setattr(linalg, "heappop", counting)
+    rng = random.Random(1968)
+    for n in [*range(1, 60), 100, 200, 400]:
+        m, _ = random_tree_graph(rng, n).intersection_matrix()
+        pops.clear()
+        steps = linalg._eliminate(m)[2]
+        assert len(steps) == n and len(pops) <= n + 1, n
 
 
 def test_entries_are_fractions_whatever_the_storage():
