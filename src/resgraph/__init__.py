@@ -11,7 +11,6 @@ from .contract import (
     NotContractible,
     RationalPoint,
     SmoothPoint,
-    blow_down_once,
     classify,
     contract_minus_ones,
     recognize_duval,
@@ -80,7 +79,6 @@ __all__ = [
     "Vertex",
     "VertexKind",
     "WeightedProjectiveSpace",
-    "blow_down_once",
     "cdisc_from_blowup",
     "classify",
     "codiscrepancies",

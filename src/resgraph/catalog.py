@@ -13,7 +13,6 @@ build must verify the whole catalog clean.
 from __future__ import annotations
 
 import fnmatch
-import json
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -281,7 +280,7 @@ def load_catalog(root: Path | None = None) -> list[CatalogEntry]:
     return entries
 
 
-# The errors a check may meet on a well-formed entry; any other is a defect.
+# A check records one of the library's errors, the CLI exits 2 on it; any other is a defect.
 LIBRARY_ERRORS = (CatalogError, ContractionError, DiscrepancyError, GraphError, LinAlgError)
 
 
@@ -387,6 +386,8 @@ def verify_catalog(
 
 def records_to_json(records: list[CheckRecord]) -> str:
     """Byte-stable JSON for a list of check records."""
+    import json  # only a --json report writes JSON
+
     payload = {
         "checks": [r.as_dict() for r in records],
         "failed": sum(1 for r in records if not r.passed),

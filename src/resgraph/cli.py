@@ -10,12 +10,12 @@ machine schema.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .catalog import (
+    LIBRARY_ERRORS,
     CatalogError,
     CheckRecord,
     EntryChecker,
@@ -26,7 +26,7 @@ from .catalog import (
     verify_catalog,
 )
 from .contract import ContractionError, CurveFiber
-from .discrepancy import DiscrepancyError, EmptySubset, codiscrepancies, mumford_pullback
+from .discrepancy import EmptySubset, codiscrepancies, mumford_pullback
 from .graph import GraphError, cycle_dot
 from .linalg import format_rational, rational
 from .wps import (
@@ -63,6 +63,8 @@ class _Report:
         if status is None:
             status = EXIT_EXPECT if self.failed else EXIT_OK
         if as_json:
+            import json  # only a --json report writes JSON
+
             payload = {
                 "command": self.command,
                 "output": self.lines,
@@ -305,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CatalogError, ContractionError, DiscrepancyError, GraphError) as exc:
+    except LIBRARY_ERRORS as exc:
         return _input_error(str(exc))
 
 

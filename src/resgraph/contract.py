@@ -54,9 +54,6 @@ class ADEType(Value):
     def render(self) -> str:
         return f"{self.family}{self.rank}"
 
-    def __str__(self) -> str:
-        return self.render()
-
 
 class ContractionOutcome(Value):
     """Base class; concrete outcomes below. An outcome renders as its class
@@ -160,8 +157,6 @@ def recognize_duval(g: DualGraph, subset: list[str] | None = None) -> ADEType | 
     well-formed subset).
     """
     ids = list(g.complete_ids() if subset is None else subset)
-    if not ids:
-        return None
     idset = set(ids)
     for vid in ids:
         v = g.vertex(vid)

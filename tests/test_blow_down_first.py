@@ -7,6 +7,7 @@ the size of what they eliminate, and replay the blow-down record through the
 one-step reference ``blow_down_once``."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -405,6 +406,41 @@ def test_k_point_blow_ups_take_k_steps_back_to_their_base():
                 assert weight == nbrs == {}
             residual = g._from_view(weight, nbrs)
             assert residual.intersection_matrix() == base.intersection_matrix()
+
+
+def laufer_steps(g: DualGraph) -> tuple[int, Cycle]:
+    """The steps of Laufer's loop in ``fundamental_cycle(g)``, counted as the
+    pops of its stack (one +1 on one curve each), and the cycle returned."""
+    pops = 0
+
+    def profile(frame, event, arg):
+        nonlocal pops
+        if event == "c_call" and frame.f_code is code and getattr(arg, "__name__", None) == "pop":
+            pops += 1
+
+    code = fundamental_cycle.__code__
+    sys.setprofile(profile)
+    try:
+        z, _ = fundamental_cycle(g)
+    finally:
+        sys.setprofile(None)
+    return pops, z
+
+
+@pytest.mark.parametrize("n", [100, 400, 2000])
+def test_laufers_loop_steps_only_on_the_residual(n):
+    """Laufer's loop starts from the sum of the residual's curves and adds
+    one curve a step, so it takes sum(Z) - |Z| steps over the curves the
+    blow-down leaves, whatever the curves blown down add to Z."""
+    rng = random.Random(f"laufer-{n}")
+    base = ade_graph("D", n)
+    for k in (0, n // 10):
+        g = point_blowups(rng, base, k)
+        steps, z = laufer_steps(g)
+        left = g._blow_down(g.exceptional_ids())[0]
+        assert steps == sum(z.coeff(vid) for vid in left) - len(left), (n, k)
+        if not k:
+            assert steps == n - 3  # D_n: Z is 1, 2, ..., 2, 1, 1
 
 
 # -- one blow-down per id set, shared read-only ------------------------------

@@ -138,6 +138,15 @@ def test_a_classification_error_is_the_actual_value_of_each_check_that_reads_it(
     ]
 
 
+def test_a_value_the_solve_does_not_give_is_absent():
+    # the codiscrepancy system solves for exceptional curves only
+    text = "graph g\nv a -2\nv c -1 cen\ne a c\nexpect codisc c = 1\n"
+    records = verify_entry(parse_entry(text, "probe"))
+    assert [(r.check, r.expected, r.actual, r.passed) for r in records] == [
+        ("codisc c", "1", "absent", False),
+    ]
+
+
 def test_filtering():
     records = verify_catalog(pattern="rejected/*")
     assert records and all(r.entry.startswith("rejected/") for r in records)

@@ -9,6 +9,7 @@ import resgraph.contract
 import resgraph.discrepancy
 from resgraph.catalog import data_root, load_catalog
 from resgraph.cli import main
+from resgraph.linalg import SingularMatrix
 
 
 def fixture(name: str) -> str:
@@ -286,6 +287,24 @@ def test_catalog_verify_one_entry_root_passes(tmp_path, capsys):
     code, out, err = run(capsys, "catalog", "verify", "--root", str(tmp_path))
     assert code == 0 and not err
     assert "mine/e8" in out and "FAIL" not in out
+
+
+def test_catalog_verify_table_names_a_failed_check(tmp_path, capsys):
+    (tmp_path / "mine").mkdir()
+    (tmp_path / "mine" / "a1.dg").write_text("graph g\nv a -2\nexpect outcome = SmoothPoint\n")
+    code, out, err = run(capsys, "catalog", "verify", "--root", str(tmp_path))
+    assert code == 1 and not err
+    assert out == "FAIL  mine/a1  outcome  expected 'SmoothPoint' got 'DuValPoint(A1)'\n0/1 checks passed\n"
+
+
+def test_a_linear_algebra_error_exits_2(capsys, monkeypatch):
+    def singular(g, include_central=False):
+        raise SingularMatrix("no solution: b is outside the column space")
+
+    monkeypatch.setattr(resgraph.cli, "codiscrepancies", singular)
+    code, out, err = run(capsys, "codisc", fixture("classification/d4-target"), "--include-central")
+    assert code == 2 and not out
+    assert err == "error: no solution: b is outside the column space\n"
 
 
 def test_wdisc_without_weights_exits_2(capsys):

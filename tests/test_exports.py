@@ -8,10 +8,6 @@ import resgraph
 
 # Exported names that no library code calls, each with the reason it stays.
 EXEMPT = {
-    # bench/tracer.py wraps it by name and bench/test_bench.py counts its
-    # calls; it goes only after ROADMAP item 1 replaces that count with a
-    # check on behaviour.
-    "blow_down_once",
     # The writer half of the text format: parse reads what it writes, and
     # parse(serialize(g)) == g is part of the format's contract.
     "serialize",

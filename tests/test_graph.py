@@ -294,6 +294,28 @@ def test_dual_graph_rejects_an_edge_multiplicity_that_is_not_a_positive_int(mult
         DualGraph("g", vertices, {("a", "b"): mult})
 
 
+A, B, T = (Vertex("a", VertexKind.EXCEPTIONAL, -2), Vertex("b", VertexKind.EXCEPTIONAL, -2),
+           Vertex("t", VertexKind.TRANSVERSAL, None))
+
+
+# parse checks its lines before it builds a graph, so it never reaches these
+@pytest.mark.parametrize(
+    "vertices, edges, error, message",
+    [
+        ([A, A], {}, DuplicateId, "duplicate vertex id 'a'"),
+        ([A, T._replace(self_int=-1)], {}, SelfIntOnTransversal,
+         "transversal vertex 't' cannot carry a self-intersection"),
+        ([A, B], {("a", "a"): 1}, GraphError, "self-loop at 'a'"),
+        ([A, B], {("z", "a"): 1}, UnknownVertex, "edge endpoint 'z' is not a vertex"),
+        ([A, B], {("a", "z"): 1}, UnknownVertex, "edge endpoint 'z' is not a vertex"),
+    ],
+)
+def test_dual_graph_rejects_what_parse_rejects_first(vertices, edges, error, message):
+    with pytest.raises(GraphError) as err:
+        DualGraph("g", vertices, edges)
+    assert type(err.value) is error and str(err.value) == message
+
+
 def test_parse_carries_the_line_of_each_expectation():
     text = "# probe\ngraph g\nv a -2\n\nexpect outcome = SmoothPoint\n"
     text += "expect codisc a = 1/2  # half\nexpect outcome = A=B\n"
@@ -405,6 +427,12 @@ def test_cycle_dot_counts_multiplicity_and_weight():
     assert cycle_dot(g, z, "a") == Fraction(-1)
     with pytest.raises(UnknownVertex):
         cycle_dot(g, z, "missing")
+
+
+def test_cycle_dot_rejects_a_transversal_vertex():
+    g = DualGraph("g", [A, T], {("a", "t"): 1})
+    with pytest.raises(TransversalInSubset, match="^'t' is transversal$"):
+        cycle_dot(g, Cycle({"a": Fraction(1)}), "t")
 
 
 def test_cycle_dot_is_bilinear():

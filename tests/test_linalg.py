@@ -62,6 +62,13 @@ def test_rational_rejects_strings_outside_p_over_q(text):
         rational(text)
 
 
+@pytest.mark.parametrize("value", [0.5, 2.0, None])
+def test_rational_rejects_what_is_not_an_exact_rational(value):
+    with pytest.raises(TypeError) as err:
+        rational(value)
+    assert str(err.value) == f"not an exact rational: {value!r}"
+
+
 def test_rational_accepts_signs_and_surrounding_space():
     assert rational(" +3/4 ") == Fraction(3, 4)
     assert rational("-12/8") == Fraction(-3, 2)
@@ -125,6 +132,13 @@ def test_solve_singular_no_solution():
     m = sym_matrix([[1, 1], [1, 1]])
     with pytest.raises(SingularMatrix):
         solve(m, [0, 1])
+
+
+@pytest.mark.parametrize("b", [[1], [1, 1, 1]])
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length(b):
+    with pytest.raises(ValueError) as err:
+        solve(sym_matrix([[-2, 1], [1, -2]]), b)
+    assert type(err.value) is ValueError and str(err.value) == "right-hand side has wrong length"
 
 
 def test_solve_underdetermined():
