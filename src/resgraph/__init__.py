@@ -22,7 +22,6 @@ from .discrepancy import (
     fundamental_cycle,
     implied_tail_start,
     mumford_pullback,
-    numerically_trivial,
     pinned_codiscrepancies,
 )
 from .graph import (
@@ -91,7 +90,6 @@ __all__ = [
     "implied_tail_start",
     "load_catalog",
     "mumford_pullback",
-    "numerically_trivial",
     "pair",
     "parse",
     "pinned_codiscrepancies",

@@ -33,9 +33,8 @@ from .discrepancy import (
     all_components_rational,
     implied_tail_start,
     mumford_pullback,
-    numerically_trivial,
 )
-from .graph import Cycle, DualGraph, GraphError, parse
+from .graph import Cycle, DualGraph, GraphError, VertexKind, cycle_dot, parse
 from .linalg import Definiteness, LinAlgError, format_rational, rational
 from .wps import cdisc_from_blowup
 
@@ -175,7 +174,7 @@ EXPECT_KEYS: dict[str, ExpectKey] = {
     "contracts_to_zero_curve": ExpectKey("classify", None, _flag,
                                          lambda c, e: (e.value, contracts_to_zero_curve(c.g))),
     "codisc": ExpectKey("codisc", "vertex", _rational,
-                        lambda c, e: (e.value, c.codisc.values.get(e.arg))),
+                        lambda c, e: (e.value, c.codisc.values[e.arg])),
     "codisc_nonneg": ExpectKey("codisc", None, _flag,
                                lambda c, e: (e.value, c.codisc.all_nonnegative)),
     "denominators_divide": ExpectKey("codisc", None, _count,
@@ -183,7 +182,7 @@ EXPECT_KEYS: dict[str, ExpectKey] = {
     "blowup_disc": ExpectKey("codisc", None, _rational, None),
     "blowup_mult": ExpectKey(
         "codisc", "vertex", _blowup_mult,
-        lambda c, e: (cdisc_from_blowup(*e.value), c.codisc.values.get(e.arg)),
+        lambda c, e: (cdisc_from_blowup(*e.value), c.codisc.values[e.arg]),
         reported_as="blowup_codisc",
     ),
     "pinned_consistent": ExpectKey("codisc", None, _flag, lambda c, e: (
@@ -192,8 +191,7 @@ EXPECT_KEYS: dict[str, ExpectKey] = {
     "implied_tail_start": ExpectKey("codisc", None, _rational,
                                     lambda c, e: (e.value, c.implied_start()), reads="pinned"),
     "pullback": ExpectKey("pullback", "cycle", _cycle, lambda c, e: (e.value, c.pullback(e.arg))),
-    "trivial": ExpectKey("triviality", "cycle", _flag,
-                         lambda c, e: (e.value, numerically_trivial(c.g, c.entry.cycles[e.arg]))),
+    "trivial": ExpectKey("triviality", "cycle", _flag, lambda c, e: (e.value, not c.pairings(e.arg))),
     "rational": ExpectKey(None, None, _flag, lambda c, e: (e.value, all_components_rational(c.g))),
     "rejected": ExpectKey(None, None, _flag, lambda c, e: (
         e.value, isinstance(c.outcome, NotContractible) or c.negative_tail_start() is not None
@@ -207,8 +205,6 @@ def _render(value) -> str:
         return "true" if value else "false"
     if isinstance(value, Fraction):
         return format_rational(value)
-    if value is None:
-        return "absent"
     if isinstance(value, Exception):
         return f"error: {value}"
     return value if isinstance(value, str) else value.render()  # a cycle, outcome or form
@@ -228,6 +224,8 @@ def _expectation(entry: CatalogEntry, key: str, text: str, line: int) -> Expecta
     named = entry.cycles if spec.names == "cycle" else entry.graph.ids()
     if arg is not None and arg not in named:
         raise ValueError(f"no {spec.names} named {arg!r}")
+    if spec.names == "vertex" and entry.graph.vertex(arg).kind is not VertexKind.EXCEPTIONAL:
+        raise ValueError(f"vertex {arg!r} is not exceptional; {head} solves for exceptional curves")
     if spec.reads is not None and spec.reads not in entry.cycles:
         raise ValueError(f"{head} needs a {spec.reads!r} cycle")
     check = key if spec.reported_as is None else f"{spec.reported_as} {arg}"
@@ -286,14 +284,16 @@ LIBRARY_ERRORS = (CatalogError, ContractionError, DiscrepancyError, GraphError, 
 
 class EntryChecker:
     """The one owner of each result computed for an entry: its
-    classification, intersection form, codiscrepancy solve and the pullback
-    of each named cycle, each computed at most once. The CLI commands print
-    these results, and the entry's expectations are checked against them."""
+    classification, intersection form, codiscrepancy solve, and the pullback
+    and pairings of each named cycle, each computed at most once. The CLI
+    commands print these results, and the entry's expectations are checked
+    against them."""
 
     def __init__(self, entry: CatalogEntry):
         self.entry = entry
         self.g = entry.graph
         self._pullbacks: dict[str, Cycle] = {}
+        self._pairings: dict[str, list[tuple[str, Fraction]]] = {}
 
     @cached_property
     def codisc(self) -> CodiscrepancyResult:
@@ -317,6 +317,15 @@ class EntryChecker:
         if name not in self._pullbacks:
             self._pullbacks[name] = mumford_pullback(self.g, self.entry.cycles[name])
         return self._pullbacks[name]
+
+    def pairings(self, name: str) -> list[tuple[str, Fraction]]:
+        """The nonzero pairings (curve, number) of the named cycle with the
+        complete curves, in vertex order; none when it is numerically trivial."""
+        if name not in self._pairings:
+            z = self.entry.cycles[name]
+            dots = ((vid, cycle_dot(self.g, z, vid)) for vid in self.g.complete_ids())
+            self._pairings[name] = [(vid, value) for vid, value in dots if value]
+        return self._pairings[name]
 
     def pins(self) -> dict[str, Fraction]:
         """The ``pinned`` cycle as written, a curve written with 0 included."""
@@ -368,14 +377,13 @@ def verify_entry(entry: CatalogEntry) -> list[CheckRecord]:
 
 
 def verify_catalog(
-    entries: list[CatalogEntry] | None = None,
-    pattern: str | None = None,
-    root: Path | None = None,
+    entries: list[CatalogEntry] | None = None, pattern: str | None = None
 ) -> list[CheckRecord]:
-    """Verify all (or glob-filtered) entries; records are ordered by entry
-    name, then fixture order, so reports are reproducible."""
+    """Verify all (or glob-filtered) entries, the packaged catalog's by
+    default; records are ordered by entry name, then fixture order, so
+    reports are reproducible."""
     if entries is None:
-        entries = load_catalog(root)
+        entries = load_catalog()
     if pattern is not None:
         entries = [e for e in entries if fnmatch.fnmatch(e.name, pattern)]
     records: list[CheckRecord] = []

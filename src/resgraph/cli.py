@@ -27,7 +27,7 @@ from .catalog import (
 )
 from .contract import ContractionError, CurveFiber
 from .discrepancy import EmptySubset, codiscrepancies, mumford_pullback
-from .graph import GraphError, cycle_dot
+from .graph import GraphError
 from .linalg import format_rational, rational
 from .wps import (
     CICurve,
@@ -159,13 +159,12 @@ def cmd_triviality(args) -> int:
     report = _Report(["triviality", args.file])
     if args.cycle not in entry.cycles:
         raise CatalogError(f"no cycle named {args.cycle!r} in {args.file}")
-    z = entry.cycles[args.cycle]
-    pairings = [(vid, cycle_dot(entry.graph, z, vid)) for vid in entry.graph.complete_ids()]
-    nonzero = [(vid, value) for vid, value in pairings if value != 0]
+    checker = EntryChecker(entry)
+    nonzero = checker.pairings(args.cycle)
     report.say(f"numerically trivial: {str(not nonzero).lower()}")
     for vid, value in nonzero:
         report.say(f"  pairs with {vid}: {format_rational(value)}")
-    report.checks.extend(EntryChecker(entry).run_all("triviality", args.cycle))
+    report.checks.extend(checker.run_all("triviality", args.cycle))
     return report.finish(args.json)
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, NamedTuple, Sequence
 
-from .graph import Cycle, DualGraph, _pull_back, _view_form, _view_parts, cycle_dot
+from .graph import Cycle, DualGraph, _pull_back, _view_form, _view_parts
 from .linalg import (
     LinAlgError,
     SymMatrix,
@@ -154,21 +154,12 @@ def _solve_subset(
     return {vid: theta[vid] for vid in unknowns}
 
 
-def codiscrepancies(
-    g: DualGraph,
-    subset: Sequence[str] | None = None,
-    include_central: bool = False,
-) -> CodiscrepancyResult:
-    """Solve the codiscrepancy system on a subset of complete vertices.
-
-    The default subset is every exceptional vertex, or every complete vertex
-    (exceptional and central) with ``include_central``; transversal germs
-    never enter the system. Only edges inside the subset count. This is the
-    pinned solve with no pins.
-    """
-    if subset is None:
-        subset = g.complete_ids() if include_central else g.exceptional_ids()
-    return CodiscrepancyResult.from_values(_solve_subset(g, list(subset), {}, True))
+def codiscrepancies(g: DualGraph, include_central: bool = False) -> CodiscrepancyResult:
+    """Solve the codiscrepancy system on every exceptional vertex, or every
+    complete vertex (exceptional and central) with ``include_central``; only
+    edges inside it count. This is the pinned solve with no pins."""
+    ids = g.complete_ids() if include_central else g.exceptional_ids()
+    return CodiscrepancyResult.from_values(_solve_subset(g, ids, {}, True))
 
 
 def pinned_codiscrepancies(
@@ -192,22 +183,17 @@ def pinned_codiscrepancies(
     return CodiscrepancyResult.from_values({**pins, **_solve_subset(g, unknowns, pins, True)})
 
 
-def implied_tail_start(
-    g: DualGraph,
-    root: str,
-    pinned: Mapping[str, Fraction],
-    subset: Sequence[str] | None = None,
-) -> Fraction:
+def implied_tail_start(g: DualGraph, root: str, pinned: Mapping[str, Fraction]) -> Fraction:
     """The rejection value for a configuration with a pinned root carrying a
     single attached tail of unknown curves.
 
-    The components of the subset minus the root that contain no pinned vertex
-    form the tail; there must be exactly one, attached by one simple edge.
-    All other values are propagated from the pins, the root's own equation
-    then dictates the codiscrepancy the tail vertex next to the root must
-    have, and the chain rule for terminal (-2)-tails (consecutive values
-    differ by the first one; constant past a fork) turns that into the value
-    the far end of the tail must start with:
+    The subset is the exceptional curves. Its components without the root
+    that contain no pinned vertex form the tail; there must be exactly one,
+    attached by one simple edge. All other values are propagated from the
+    pins, the root's own equation then dictates the codiscrepancy the tail
+    vertex next to the root must have, and the chain rule for terminal
+    (-2)-tails (consecutive values differ by the first one; constant past a
+    fork) turns that into the value the far end of the tail must start with:
 
         pinned(root) - (a * pinned(root) - (a - 2) - sum of other neighbors)
 
@@ -218,7 +204,7 @@ def implied_tail_start(
     pins = {k: rational(v) for k, v in pinned.items()}
     if root not in pins:
         raise UnsupportedTail(f"root {root!r} must carry a pinned value")
-    ids = list(subset) if subset is not None else g.exceptional_ids()
+    ids = g.exceptional_ids()
     idset = set(ids)
     if root not in idset:
         raise UnsupportedTail(f"root {root!r} is not in the subset")
@@ -301,11 +287,11 @@ def fundamental_cycle(
     return Cycle(coeffs), 1 + Fraction(zz_zk, 2)
 
 
-def all_components_rational(g: DualGraph, subset: Sequence[str] | None = None) -> bool:
-    """Whether every connected component of the (default: exceptional)
-    configuration has fundamental cycle of arithmetic genus zero."""
-    ids = g.exceptional_ids() if subset is None else subset
-    return all(fundamental_cycle(g, sorted(comp))[1] == 0 for comp in g.components(ids))
+def all_components_rational(g: DualGraph) -> bool:
+    """Whether every connected component of the exceptional configuration
+    has fundamental cycle of arithmetic genus zero."""
+    comps = g.components(g.exceptional_ids())
+    return all(fundamental_cycle(g, sorted(comp))[1] == 0 for comp in comps)
 
 
 def mumford_pullback(
@@ -324,8 +310,3 @@ def mumford_pullback(
         if vid in known:
             raise DiscrepancyError(f"attached cycle meets the subset at {vid!r}")
     return Cycle(_solve_subset(g, ids, known, False))
-
-
-def numerically_trivial(g: DualGraph, z: Cycle) -> bool:
-    """True when the cycle pairs to zero with every complete vertex."""
-    return all(cycle_dot(g, z, vid) == 0 for vid in g.complete_ids())

@@ -181,9 +181,6 @@ class DualGraph:
     def edges(self) -> dict[tuple[str, str], int]:
         return dict(self._edges)
 
-    def multiplicity(self, a: str, b: str) -> int:
-        return self._adjacency.get(a, {}).get(b, 0)
-
     def neighbors(self, vid: str) -> tuple[tuple[str, int], ...]:
         """(neighbor id, edge multiplicity) pairs, in the order of ``edges``."""
         self.vertex(vid)

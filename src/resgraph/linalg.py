@@ -181,7 +181,7 @@ class SymMatrix:
 
 
 def _eliminate(
-    M: SymMatrix, b: Sequence[Fraction | int] | None = None
+    M: SymMatrix, b: Sequence[Fraction | int] | None = None, stop: bool = False
 ) -> tuple[list[dict[int, int]], list[int], list[tuple[int, int]], list[int]]:
     """Fraction-free sparse Gaussian elimination of M, doing the same row
     operations on the right-hand side b (zero when not given).
@@ -210,6 +210,10 @@ def _eliminate(
     scaling. Returns the rows, the right-hand sides, the steps, and the rows
     left over, which are zero. A pivot row and its right-hand side never
     change after their step, so back-substitution can replay the steps.
+
+    With ``stop``, it returns right after a positive pivot or a 2x2 block
+    pivot, either of which proves M indefinite (Sylvester's law of inertia;
+    Bunch and Kaufman 1977); its last list is then the rows still active.
     """
     n = M.dimension
     if b is None:
@@ -280,6 +284,9 @@ def _eliminate(
                 if len(steps) == n:
                     heap.clear()
                 continue
+            if stop and pivot_row[r] > 0:
+                step(r, r)
+                break
             if length > 2:
                 step(r, r)
                 continue
@@ -318,6 +325,9 @@ def _eliminate(
             c = min(rows[scan])
             step(scan, c)
             step(c, scan)
+            if not stop:
+                continue
+        break  # stopped: M is indefinite
     return rows, rhs, steps, [i for i in range(n) if active[i]]
 
 
@@ -488,7 +498,7 @@ def definiteness(M: SymMatrix) -> Definiteness:
     eigenvalue of each sign. The corank is the number of rows left over,
     and the kernel, ``kernel_basis``'s, is read off the same elimination.
     """
-    rows, zeros, steps, rest = _eliminate(M)
+    rows, zeros, steps, rest = _eliminate(M, stop=True)
     if any(r != c or rows[r][r] > 0 for r, c in steps):
         return Definiteness(INDEFINITE)
     if not rest:

@@ -74,16 +74,13 @@ def cdisc_from_blowup(mult: int, disc) -> Fraction:
     return mult * rational(disc)
 
 
-def subadjunction_genus(
-    space: WeightedProjectiveSpace | Sequence[int], degree: int, correction
-) -> Fraction:
-    """Arithmetic genus of a degree-d curve in a three-weight space via
+def subadjunction_genus(weights: Sequence[int], degree: int, correction) -> Fraction:
+    """Arithmetic genus of a degree-d curve in the space of three weights via
     subadjunction with a caller-supplied orbifold correction:
 
         p_a = 1 + ((d - sum w) * d / prod w - correction) / 2
     """
-    if not isinstance(space, WeightedProjectiveSpace):
-        space = WeightedProjectiveSpace(tuple(space))
+    space = WeightedProjectiveSpace(tuple(weights))
     if len(space.weights) != 3:
         raise ValueError("subadjunction genus needs exactly three weights")
     if degree < 1:

@@ -16,7 +16,6 @@ from resgraph.discrepancy import (
     fundamental_cycle,
     implied_tail_start,
     mumford_pullback,
-    numerically_trivial,
 )
 from resgraph.graph import Cycle, cycle_dot, parse, serialize
 from resgraph.linalg import definiteness
@@ -28,7 +27,13 @@ from resgraph.wps import (
     subadjunction_genus,
     wblowup_discrepancy,
 )
-from util import attach_chain, chain_codiscrepancy_check, random_tree_graph, relabel
+from util import (
+    attach_chain,
+    chain_codiscrepancy_check,
+    numerically_trivial,
+    random_tree_graph,
+    relabel,
+)
 
 F = Fraction
 

@@ -181,9 +181,9 @@ def test_no_elimination_is_larger_than_the_residual(monkeypatch):
     eliminate, kernel_basis = linalg._eliminate, linalg.kernel_basis
     solve, fill = discrepancy.solve, DualGraph._fill  # every build ends in _fill
 
-    def counting_eliminate(M, b=None):
+    def counting_eliminate(M, *args, **kwargs):
         dims.append(M.dimension)
-        return eliminate(M, b)
+        return eliminate(M, *args, **kwargs)
 
     def counting_kernel_basis(M):
         kernels.append(M.dimension)
@@ -260,9 +260,9 @@ def test_classify_builds_only_what_it_returns(monkeypatch):
         matrices.append(self.name)
         return matrix(self, subset)
 
-    def counting_eliminate(M, b=None):
+    def counting_eliminate(M, *args, **kwargs):
         dims.append(M.dimension)
-        return eliminate(M, b)
+        return eliminate(M, *args, **kwargs)
 
     monkeypatch.setattr(DualGraph, "_fill", counting_fill)
     monkeypatch.setattr(DualGraph, "intersection_matrix", counting_matrix)
@@ -287,6 +287,35 @@ def test_classify_builds_only_what_it_returns(monkeypatch):
     dims.clear()
     linalg.definiteness(DualGraph("live", [], {}).intersection_matrix()[0])  # the counters are live
     assert builds == ["live"] and matrices == ["live"] and dims == [0]
+
+
+CLIQUE = "graph clique\nv c -1\n" + "".join(f"v n{i}\ne c n{i}\n" for i in range(400))
+RAISED = "graph raised\nv a -2\nv c -1\ne a c m=2\n" + "".join(
+    f"v n{i}\ne {'a' if i == 0 else f'n{i - 1}'} n{i}\n" for i in range(400)
+)
+
+
+@pytest.mark.parametrize(
+    "text, dimension, steps", [(CLIQUE, 399, 2), (RAISED, 401, 1)], ids=["clique", "raised"]
+)
+def test_classify_stops_at_the_first_proof_of_indefiniteness(monkeypatch, text, dimension, steps):
+    """``classify``'s one elimination stops at the first step that proves the
+    residual's form indefinite. CLIQUE is one (-1)-curve meeting 400
+    (-2)-curves: blowing it down and then one of them leaves 399 curves of
+    self-intersection 0, every two joined with multiplicity 2, so the first
+    pivot is a 2x2 block. In RAISED a (-1)-curve meets the (-2)-curve at the
+    end of a chain twice and raises it to +2, the first pivot."""
+    g = parse(text).graph
+    runs, eliminate = [], linalg._eliminate
+
+    def counting_eliminate(M, *args, **kwargs):
+        rows, rhs, done, rest = eliminate(M, *args, **kwargs)
+        runs.append((M.dimension, len(done)))
+        return rows, rhs, done, rest
+
+    monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
+    assert classify(g) == NotContractible("intersection form is indefinite")
+    assert runs == [(dimension, steps)]
 
 
 def whole_subset_solve(g, unknowns, known, canonical):
@@ -335,7 +364,7 @@ def test_a_bad_subset_raises_what_intersection_matrix_raises():
     for subset in subsets:
         want = result_or_error(g.intersection_matrix, subset)
         assert isinstance(want[0], type) and issubclass(want[0], GraphError)
-        assert result_or_error(codiscrepancies, g, subset) == want
+        assert result_or_error(pinned_codiscrepancies, g, {}, subset) == want
         assert result_or_error(pinned_codiscrepancies, g, {"d": Fraction(1, 2)}, subset) == want
         assert result_or_error(mumford_pullback, g, Cycle({"d": 1}), subset) == want
 

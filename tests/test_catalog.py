@@ -87,7 +87,7 @@ def test_one_entry_root_verifies(tmp_path):
     _copy_fixture(tmp_path, "duval/crepant-e8", "mine/e8")
     (entry,) = load_catalog(tmp_path)
     assert entry.name == "mine/e8"
-    records = verify_catalog(root=tmp_path)
+    records = verify_catalog(load_catalog(tmp_path))
     assert records and all(r.passed and r.entry == "mine/e8" for r in records)
 
 
@@ -138,13 +138,14 @@ def test_a_classification_error_is_the_actual_value_of_each_check_that_reads_it(
     ]
 
 
-def test_a_value_the_solve_does_not_give_is_absent():
+def test_a_codisc_vertex_that_the_solve_does_not_give_is_a_load_error():
     # the codiscrepancy system solves for exceptional curves only
     text = "graph g\nv a -2\nv c -1 cen\ne a c\nexpect codisc c = 1\n"
-    records = verify_entry(parse_entry(text, "probe"))
-    assert [(r.check, r.expected, r.actual, r.passed) for r in records] == [
-        ("codisc c", "1", "absent", False),
-    ]
+    with pytest.raises(CatalogError) as err:
+        parse_entry(text, "probe")
+    assert str(err.value) == (
+        "probe: line 5: vertex 'c' is not exceptional; codisc solves for exceptional curves"
+    )
 
 
 def test_filtering():
@@ -329,6 +330,9 @@ LOAD_BASE = "graph g\nv a -2\nv o -2\nv s ~\ne a o\ne o s\ncycle z: s=1\n"
         ("codisc a o = 1", "expectation 'codisc a o' takes one vertex"),
         ("trivial z z = true", "expectation 'trivial z z' takes one cycle"),
         ("codisc q = 1", "no vertex named 'q'"),
+        ("codisc s = 1", "vertex 's' is not exceptional; codisc solves for exceptional curves"),
+        ("blowup_disc = 1/2\nexpect blowup_mult s = 1",
+         "vertex 's' is not exceptional; blowup_mult solves for exceptional curves"),
         ("trivial nope = true", "no cycle named 'nope'"),
         ("pullback z = nope", "no cycle named 'nope'"),
         ("fiber_cycle = nope", "no cycle named 'nope'"),

@@ -242,6 +242,7 @@ def test_expectation_without_cycle_exits_2(tmp_path, capsys, command, expect):
         "codisc a = 1/0",
         "pullback z = nope",
         "codisc q = 1",
+        "codisc t = 1",
     ],
 )
 def test_malformed_expectation_exits_2_with_file_and_line(tmp_path, capsys, expect):
@@ -457,11 +458,12 @@ def test_command_json_mode(capsys):
     assert all(record["pass"] for record in payload["checks"])
 
 
-SOLVERS = ("classify", "definiteness", "codiscrepancies", "mumford_pullback")
+SOLVERS = ("classify", "definiteness", "codiscrepancies", "mumford_pullback", "cycle_dot")
 
 
 def count_solves(monkeypatch) -> Counter:
-    """Count the calls of each solver, through every module that binds it."""
+    """Count the calls of each solver, and of ``cycle_dot``, through every
+    module that binds it."""
     counts: Counter = Counter()
 
     def counting(name, fn):
@@ -493,3 +495,6 @@ def test_each_command_solves_once(entry, capsys, monkeypatch):
         counts.clear()
         run(capsys, "pullback", path, "--attached", name)
         assert counts["mumford_pullback"] == 1, name
+        counts.clear()
+        run(capsys, "triviality", path, "--cycle", name)
+        assert counts["cycle_dot"] == len(entry.graph.complete_ids()), name

@@ -29,6 +29,7 @@ from util import (
     built_parts,
     cycle_pairing,
     dense_rows,
+    multiplicity,
     point_blowups,
     random_cyclic_graph,
     random_tree_graph,
@@ -328,7 +329,7 @@ def test_parse_carries_the_line_of_each_expectation():
 
 def test_edge_multiplicity_accumulates():
     g = parse("graph g\nv a -2\nv b -2\ne a b\ne a b m=2\n").graph
-    assert g.multiplicity("a", "b") == 3
+    assert multiplicity(g, "a", "b") == 3
 
 
 def test_intersection_matrix_a2_chain():
@@ -382,7 +383,7 @@ def test_intersection_matrix_equals_the_checked_constructor(seed):
             m, order = g.intersection_matrix(subset)
             assert order == (complete if subset is None else subset)
             expected = SymMatrix.from_sparse([
-                {j: g.vertex(a).self_int if a == b else g.multiplicity(a, b)
+                {j: g.vertex(a).self_int if a == b else multiplicity(g, a, b)
                  for j, b in enumerate(order)}
                 for a in order
             ])

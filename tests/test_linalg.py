@@ -247,9 +247,9 @@ def _eliminations(fn, *args):
     """fn(*args), and the dimensions of the matrices it eliminated."""
     dims, eliminate = [], linalg._eliminate
 
-    def counting(M, b=None):
+    def counting(M, *args, **kwargs):
         dims.append(M.dimension)
-        return eliminate(M, b)
+        return eliminate(M, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "_eliminate", counting)

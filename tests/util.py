@@ -6,7 +6,8 @@ eliminate in plain column order, with none of the library's sparse pivoting.
 It also holds the reference checks that left the library because only tests
 called them (the free-versus-pinned consistency test, the chain and fork
 codiscrepancy rules, per-component classification, the definiteness of a
-graph's whole complete form) and the ``ade_graph`` generator of the
+graph's whole complete form, numerical triviality and the multiplicity
+between two curves) and the ``ade_graph`` generator of the
 rational-double-point graphs."""
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from resgraph.discrepancy import (
     DiscrepancyError,
     NotNegativeDefinite,
     SingularConfiguration,
-    codiscrepancies,
+    pinned_codiscrepancies,
 )
 from resgraph.graph import Cycle, DualGraph, TransversalInSubset, Vertex, VertexKind, cycle_dot
 from resgraph.linalg import (
@@ -123,6 +124,11 @@ def apply(M: SymMatrix, x: list[Fraction]) -> list[Fraction]:
 
 def scaled(z: Cycle, factor) -> Cycle:
     return Cycle({vid: c * Fraction(factor) for vid, c in z.coefficients.items()})
+
+
+def multiplicity(g: DualGraph, a: str, b: str) -> int:
+    """The total multiplicity of the edges between two vertices of g."""
+    return dict(g.neighbors(a)).get(b, 0)
 
 
 def special_vertices(entry) -> dict[str, str]:
@@ -427,6 +433,11 @@ def canonical_dot(g: DualGraph, z: Cycle) -> Fraction:
     return total
 
 
+def numerically_trivial(g: DualGraph, z: Cycle) -> bool:
+    """True when the cycle pairs to zero with every complete vertex."""
+    return all(cycle_dot(g, z, vid) == 0 for vid in g.complete_ids())
+
+
 def arithmetic_genus(g: DualGraph, z: Cycle) -> Fraction:
     """p_a(Z) = 1 + (Z.Z + Z.K)/2, from the two pairings above; independent
     of the genus that fundamental_cycle computes from its own loop."""
@@ -452,7 +463,7 @@ def pinned_consistent(
     Because the free solution is unique once the form is invertible, this is
     equivalent to consistency of the overdetermined pinned system.
     """
-    free = codiscrepancies(g, subset)
+    free = pinned_codiscrepancies(g, {}, subset)
     return all(free.values.get(k) == rational(v) for k, v in pinned.items())
 
 
@@ -478,7 +489,7 @@ def chain_codiscrepancy_check(
         if g.vertex(vid).self_int != -2:
             raise NotAChain(f"{vid!r} is not a (-2)-curve")
     for prev, cur in zip(ids, ids[1:]):
-        if g.multiplicity(prev, cur) != 1:
+        if multiplicity(g, prev, cur) != 1:
             raise NotAChain(f"{prev!r} and {cur!r} are not joined by a simple edge")
     # the free end has one solved neighbor: the next chain vertex, or the
     # attachment itself when the chain has length one
@@ -512,7 +523,7 @@ def fork_codiscrepancy_check(
         if vid not in result.values:
             raise NotAChain(f"{vid!r} has no solved codiscrepancy")
     for leg in legs:
-        if g.vertex(leg).self_int != -2 or g.multiplicity(leg, fork) != 1:
+        if g.vertex(leg).self_int != -2 or multiplicity(g, leg, fork) != 1:
             raise NotAChain(f"{leg!r} is not a simple (-2)-leg of {fork!r}")
     f = result.values[fork]
     if not all(result.values[leg] * 2 == f for leg in legs):
