@@ -49,8 +49,6 @@ from .catalog import (
     verify_entry,
 )
 from .wps import (
-    CICurve,
-    WeightedProjectiveSpace,
     cdisc_from_blowup,
     pair,
     subadjunction_genus,
@@ -63,7 +61,6 @@ __all__ = [
     "ADEType",
     "CatalogEntry",
     "CheckRecord",
-    "CICurve",
     "CodiscrepancyResult",
     "ContractionOutcome",
     "CurveFiber",
@@ -77,7 +74,6 @@ __all__ = [
     "SymMatrix",
     "Vertex",
     "VertexKind",
-    "WeightedProjectiveSpace",
     "cdisc_from_blowup",
     "classify",
     "codiscrepancies",

@@ -36,7 +36,7 @@ from .discrepancy import (
 )
 from .graph import Cycle, DualGraph, GraphError, VertexKind, cycle_dot, parse
 from .linalg import Definiteness, LinAlgError, format_rational, rational
-from .wps import cdisc_from_blowup
+from .wps import WpsError, cdisc_from_blowup
 
 ROLE_TAIL_ROOT = "tail-root"
 
@@ -279,15 +279,15 @@ def load_catalog(root: Path | None = None) -> list[CatalogEntry]:
 
 
 # A check records one of the library's errors, the CLI exits 2 on it; any other is a defect.
-LIBRARY_ERRORS = (CatalogError, ContractionError, DiscrepancyError, GraphError, LinAlgError)
+LIBRARY_ERRORS = (CatalogError, ContractionError, DiscrepancyError, GraphError, LinAlgError, WpsError)
 
 
 class EntryChecker:
     """The one owner of each result computed for an entry: its
-    classification, intersection form, codiscrepancy solve, and the pullback
-    and pairings of each named cycle, each computed at most once. The CLI
-    commands print these results, and the entry's expectations are checked
-    against them."""
+    classification, intersection form, codiscrepancy solve, implied tail
+    start, and the pullback and pairings of each named cycle, each computed
+    at most once. The CLI commands print these results, and the entry's
+    expectations are checked against them."""
 
     def __init__(self, entry: CatalogEntry):
         self.entry = entry
@@ -334,20 +334,27 @@ class EntryChecker:
             raise CatalogError(f"{self.entry.name}: no pinned cycle")
         return {vid: pinned.coeff(vid) for vid in pinned._named}
 
+    @cached_property
+    def _start(self) -> Fraction | DiscrepancyError | CatalogError:
+        """What ``implied_start`` returns, or the error it raises."""
+        try:
+            roots = self.g.labeled(ROLE_TAIL_ROOT)
+            if len(roots) != 1:
+                raise CatalogError(f"{self.entry.name}: needs exactly one tail-root label")
+            return implied_tail_start(self.g, roots[0], self.pins())
+        except (DiscrepancyError, CatalogError) as exc:
+            return exc
+
     def implied_start(self) -> Fraction:
-        roots = self.g.labeled(ROLE_TAIL_ROOT)
-        if len(roots) != 1:
-            raise CatalogError(f"{self.entry.name}: needs exactly one tail-root label")
-        return implied_tail_start(self.g, roots[0], self.pins())
+        if isinstance(self._start, Exception):
+            raise self._start
+        return self._start
 
     def negative_tail_start(self) -> Fraction | None:
         """The implied tail start if it is negative (no effective
         codiscrepancy divisor exists), else None, also when it is undefined."""
-        try:
-            start = self.implied_start()
-        except (DiscrepancyError, CatalogError):
-            return None
-        return start if start < 0 else None
+        start = self._start
+        return start if isinstance(start, Fraction) and start < 0 else None
 
     def run_all(self, command: str | None = None, cycle: str | None = None) -> list[CheckRecord]:
         """Run the entry's expectations in fixture order: all of them, or

@@ -29,13 +29,7 @@ from .contract import ContractionError, CurveFiber
 from .discrepancy import EmptySubset, codiscrepancies, mumford_pullback
 from .graph import GraphError
 from .linalg import format_rational, rational
-from .wps import (
-    CICurve,
-    WeightedProjectiveSpace,
-    pair,
-    subadjunction_genus,
-    wblowup_discrepancy,
-)
+from .wps import WpsError, pair, subadjunction_genus, wblowup_discrepancy
 
 EXIT_OK = 0
 EXIT_EXPECT = 1
@@ -91,11 +85,6 @@ def _load(path: str):
         raise CatalogError(f"cannot read {path}: {exc}") from None
     except GraphError as exc:
         raise CatalogError(f"parse error in {path}: {exc}") from None
-
-
-def _input_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_INPUT
 
 
 def cmd_classify(args) -> int:
@@ -168,59 +157,50 @@ def cmd_triviality(args) -> int:
     return report.finish(args.json)
 
 
+# these flags feed only the wps commands, so a bad one is a WpsError
 def _parse_rational(text: str, what: str) -> Fraction:
     try:
         return rational(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad {what}: {text!r}") from None
+        raise WpsError(f"bad {what}: {text!r}") from None
 
 
 def _parse_int(text: str, what: str) -> int:
     # rational reads ASCII digits only; int alone also reads "1_0" and other scripts' digits
     if "/" in text:
-        raise ValueError(f"bad {what}: {text!r}")
+        raise WpsError(f"bad {what}: {text!r}")
     return _parse_rational(text, what).numerator
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
     try:
         return [_parse_int(x, what) for x in text.split(",") if x]
-    except ValueError:
-        raise ValueError(f"bad {what}: {text!r}") from None
+    except WpsError:
+        raise WpsError(f"bad {what}: {text!r}") from None
 
 
 def cmd_pair(args) -> int:
     report = _Report(["pair"])
-    try:
-        k = _parse_int(args.k, "k")
-        weights = _parse_ints(args.weights, "weights")
-        degrees = _parse_ints(args.degrees, "degrees")
-        curve = CICurve(WeightedProjectiveSpace(tuple(weights)), tuple(degrees))
-    except ValueError as exc:
-        return _input_error(str(exc))
-    report.say(f"pairing: {format_rational(pair(curve, k))}")
+    k = _parse_int(args.k, "k")
+    weights = _parse_ints(args.weights, "weights")
+    value = pair(weights, _parse_ints(args.degrees, "degrees"), k)
+    report.say(f"pairing: {format_rational(value)}")
     return report.finish(args.json)
 
 
 def cmd_wdisc(args) -> int:
     report = _Report(["wdisc"])
-    try:
-        index = _parse_int(args.index, "index")
-        value = wblowup_discrepancy(index, _parse_ints(args.weights, "weights"))
-    except ValueError as exc:
-        return _input_error(str(exc))
+    index = _parse_int(args.index, "index")
+    value = wblowup_discrepancy(index, _parse_ints(args.weights, "weights"))
     report.say(f"discrepancy: {format_rational(value)}")
     return report.finish(args.json)
 
 
 def cmd_genus(args) -> int:
     report = _Report(["genus"])
-    try:
-        weights = _parse_ints(args.weights, "weights")
-        correction = _parse_rational(args.correction, "correction")
-        value = subadjunction_genus(weights, _parse_int(args.degree, "degree"), correction)
-    except ValueError as exc:
-        return _input_error(str(exc))
+    weights = _parse_ints(args.weights, "weights")
+    correction = _parse_rational(args.correction, "correction")
+    value = subadjunction_genus(weights, _parse_int(args.degree, "degree"), correction)
     report.say(f"arithmetic genus: {format_rational(value)}")
     return report.finish(args.json)
 
@@ -307,7 +287,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except LIBRARY_ERRORS as exc:
-        return _input_error(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -147,21 +147,18 @@ def contracts_to_zero_curve(g: DualGraph) -> bool:
     return [w for w in g._blow_down(g.ids())[0].values() if w is not None] == [0]
 
 
-def recognize_duval(g: DualGraph, subset: list[str] | None = None) -> ADEType | None:
+def recognize_duval(g: DualGraph) -> ADEType | None:
     """Match a configuration against the rational-double-point shapes.
 
     Requires a connected graph of complete curves, all of self-intersection
     -2, with simple edges and no cycles; a plain chain is A_n, a chain with a
     fork one step from an end is D_n, and the three exceptional fork shapes
-    are E_6, E_7, E_8. Returns None otherwise (total, never raises on a
-    well-formed subset).
+    are E_6, E_7, E_8. Returns None otherwise (total, never raises).
     """
-    ids = list(g.complete_ids() if subset is None else subset)
+    ids = g.complete_ids()
     idset = set(ids)
-    for vid in ids:
-        v = g.vertex(vid)
-        if not v.complete or v.self_int != -2:
-            return None
+    if any(g.vertex(vid).self_int != -2 for vid in ids):
+        return None
     if len(g.components(ids)) != 1:
         return None
     edge_count = 0
@@ -221,7 +218,7 @@ def classify(g: DualGraph) -> ContractionOutcome:
         result = SmoothPoint()
     elif form.is_negative_definite:
         residual = contract_minus_ones(g)  # the only outcomes that read a graph
-        ade = recognize_duval(residual, list(rest))
+        ade = recognize_duval(residual)
         result = RationalPoint(residual) if ade is None else DuValPoint(ade)
     elif form.is_negative_semidefinite and len(rest) == 1:
         # The form is connected with nonnegative off-diagonal entries, so by

@@ -457,20 +457,21 @@ NEGATIVE_SEMIDEFINITE = "NegativeSemidefiniteCorank"
 INDEFINITE = "Indefinite"
 
 
-class Definiteness:
+class Definiteness(Value):
     """Exact classification of a symmetric matrix as a quadratic form.
 
     kind is one of NEGATIVE_DEFINITE, NEGATIVE_SEMIDEFINITE, INDEFINITE;
     corank and kernel (primitive integer vectors) are filled for the
-    semidefinite case.
+    semidefinite case. The kernel is a list of lists, so, like a ``Cycle``,
+    a Definiteness is unhashable.
     """
 
     __slots__ = ("kind", "corank", "kernel")
 
     def __init__(self, kind: str, corank: int = 0, kernel: Iterable[Sequence[int]] = ()):
-        self.kind = kind
-        self.corank = corank
-        self.kernel = [list(v) for v in kernel]
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "corank", corank)
+        object.__setattr__(self, "kernel", [list(v) for v in kernel])
 
     @property
     def is_negative_definite(self) -> bool:
@@ -484,9 +485,6 @@ class Definiteness:
         if self.kind == NEGATIVE_SEMIDEFINITE:
             return f"NegativeSemidefiniteCorank({self.corank})"
         return self.kind
-
-    def __repr__(self) -> str:
-        return f"Definiteness({self.render()})"
 
 
 def definiteness(M: SymMatrix) -> Definiteness:

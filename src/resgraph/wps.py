@@ -4,8 +4,9 @@ bookkeeping that feeds codiscrepancy cross-checks.
 A curve cut out in P(w_1,...,w_n) by hypersurfaces of degrees d_1,...,d_{n-2}
 pairs with O(k) to k * (prod d_i) / (prod w_j); a weighted blowup of a cyclic
 quotient of index m with weights w has discrepancy (sum w_i)/m - 1. Both are
-one-line exact formulas, kept as named operations so the catalog can
-cross-check them against solved codiscrepancies.
+one-line exact formulas on integer sequences, kept as named operations so the
+catalog can cross-check them against solved codiscrepancies. A bad input is a
+WpsError.
 """
 
 from __future__ import annotations
@@ -14,45 +15,27 @@ from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-from .linalg import Value, rational
+from .linalg import rational
 
 
-class WeightedProjectiveSpace(Value):
-    __slots__ = ("weights",)
-
-    def __init__(self, weights: tuple[int, ...]):
-        if not weights or any(w < 1 for w in weights):
-            raise ValueError("weights must be positive integers")
-        object.__setattr__(self, "weights", tuple(int(w) for w in weights))
-
-    @property
-    def weight_product(self) -> int:
-        return prod(self.weights)
-
-    @property
-    def weight_sum(self) -> int:
-        return sum(self.weights)
+class WpsError(ValueError):
+    """An input that the weighted-projective formulas reject."""
 
 
-class CICurve(Value):
-    """A complete-intersection curve class: n-2 hypersurface degrees in an
-    n-weight space."""
-
-    __slots__ = ("ambient", "degrees")
-
-    def __init__(self, ambient: WeightedProjectiveSpace, degrees: tuple[int, ...]):
-        degrees = tuple(int(d) for d in degrees)
-        if len(degrees) != len(ambient.weights) - 2:
-            raise ValueError("a curve needs exactly n-2 hypersurface degrees")
-        if any(d < 1 for d in degrees):
-            raise ValueError("degrees must be positive integers")
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "degrees", degrees)
+def _check_weights(weights: Sequence[int]) -> None:
+    if not weights or any(w < 1 for w in weights):
+        raise WpsError("weights must be positive integers")
 
 
-def pair(curve: CICurve, k: int) -> Fraction:
-    """(O(k) . curve) = k * (product of degrees) / (product of weights)."""
-    return Fraction(k * prod(curve.degrees), curve.ambient.weight_product)
+def pair(weights: Sequence[int], degrees: Sequence[int], k: int) -> Fraction:
+    """(O(k) . C) = k * (product of degrees) / (product of weights), for the
+    curve C cut out in P(weights) by n-2 hypersurfaces of the given degrees."""
+    _check_weights(weights)
+    if len(degrees) != len(weights) - 2:
+        raise WpsError("a curve needs exactly n-2 hypersurface degrees")
+    if any(d < 1 for d in degrees):
+        raise WpsError("degrees must be positive integers")
+    return Fraction(k * prod(degrees), prod(weights))
 
 
 def wblowup_discrepancy(index: int, weights: Sequence[int]) -> Fraction:
@@ -60,9 +43,9 @@ def wblowup_discrepancy(index: int, weights: Sequence[int]) -> Fraction:
     the given weights over a cyclic quotient of the given index:
     (sum of weights)/index - 1."""
     if not weights:
-        raise ValueError("a weighted blowup needs at least one weight")
+        raise WpsError("a weighted blowup needs at least one weight")
     if index < 1 or any(w < 1 for w in weights):
-        raise ValueError("index and weights must be positive")
+        raise WpsError("index and weights must be positive")
     return Fraction(sum(weights), index) - 1
 
 
@@ -70,7 +53,7 @@ def cdisc_from_blowup(mult: int, disc) -> Fraction:
     """Codiscrepancy of an exceptional component appearing with the given
     multiplicity in a blowup divisor of the given discrepancy."""
     if mult < 1:
-        raise ValueError("multiplicity must be positive")
+        raise WpsError("multiplicity must be positive")
     return mult * rational(disc)
 
 
@@ -80,10 +63,10 @@ def subadjunction_genus(weights: Sequence[int], degree: int, correction) -> Frac
 
         p_a = 1 + ((d - sum w) * d / prod w - correction) / 2
     """
-    space = WeightedProjectiveSpace(tuple(weights))
-    if len(space.weights) != 3:
-        raise ValueError("subadjunction genus needs exactly three weights")
+    _check_weights(weights)
+    if len(weights) != 3:
+        raise WpsError("subadjunction genus needs exactly three weights")
     if degree < 1:
-        raise ValueError("degree must be positive")
-    pairing = Fraction((degree - space.weight_sum) * degree, space.weight_product)
+        raise WpsError("degree must be positive")
+    pairing = Fraction((degree - sum(weights)) * degree, prod(weights))
     return 1 + (pairing - rational(correction)) / 2

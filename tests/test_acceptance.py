@@ -20,8 +20,6 @@ from resgraph.discrepancy import (
 from resgraph.graph import Cycle, cycle_dot, parse, serialize
 from resgraph.linalg import definiteness
 from resgraph.wps import (
-    CICurve,
-    WeightedProjectiveSpace,
     cdisc_from_blowup,
     pair,
     subadjunction_genus,
@@ -137,12 +135,12 @@ def test_criterion_6_numerical_triviality(catalog):
 
 
 def test_criterion_7_weighted_projective_pairings():
-    w = WeightedProjectiveSpace((3, 2, 1, 1))
+    w = (3, 2, 1, 1)
     ok = (
-        pair(CICurve(w, (1, 1)), -4) == F(-2, 3)
-        and pair(CICurve(w, (1, 3)), -4) == F(-2)
-        and pair(CICurve(w, (1, 2)), -4) == F(-4, 3)
-        and pair(CICurve(w, (1, 6)), 4) == F(4)
+        pair(w, (1, 1), -4) == F(-2, 3)
+        and pair(w, (1, 3), -4) == F(-2)
+        and pair(w, (1, 2), -4) == F(-4, 3)
+        and pair(w, (1, 6), 4) == F(4)
         and wblowup_discrepancy(4, (3, 2, 1, 1)) == F(3, 4)
         and subadjunction_genus((2, 1, 1), 5, F(1, 2)) == F(2)
     )

@@ -1,5 +1,7 @@
+import ast
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -458,7 +460,14 @@ def test_command_json_mode(capsys):
     assert all(record["pass"] for record in payload["checks"])
 
 
-SOLVERS = ("classify", "definiteness", "codiscrepancies", "mumford_pullback", "cycle_dot")
+SOLVERS = (
+    "classify",
+    "definiteness",
+    "codiscrepancies",
+    "mumford_pullback",
+    "cycle_dot",
+    "implied_tail_start",
+)
 
 
 def count_solves(monkeypatch) -> Counter:
@@ -491,6 +500,7 @@ def test_each_command_solves_once(entry, capsys, monkeypatch):
     counts.clear()
     run(capsys, "codisc", path)
     assert counts["codiscrepancies"] == 1
+    assert counts["implied_tail_start"] <= 1
     for name in entry.cycles:
         counts.clear()
         run(capsys, "pullback", path, "--attached", name)
@@ -498,3 +508,16 @@ def test_each_command_solves_once(entry, capsys, monkeypatch):
         counts.clear()
         run(capsys, "triviality", path, "--cycle", name)
         assert counts["cycle_dot"] == len(entry.graph.complete_ids()), name
+
+
+def test_only_main_turns_an_error_into_exit_2():
+    """``EXIT_INPUT`` is read in one place, ``cli.main``'s one handler of
+    the library's errors; no command returns it on its own."""
+    module = ast.parse(Path(resgraph.cli.__file__).read_text(encoding="utf-8"))
+    readers = [
+        getattr(top, "name", None)
+        for top in module.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == "EXIT_INPUT" and isinstance(node.ctx, ast.Load)
+    ]
+    assert readers == ["main"]

@@ -180,8 +180,6 @@ def test_recognize_duval_rejects_cycles_multiedges_disconnected():
 
 
 def test_recognize_duval_of_no_curve_is_none():
-    g = parse("graph g\nv a -2\nv t ~\ne a t\n").graph
-    assert recognize_duval(g, []) is None
     assert recognize_duval(parse("graph g\nv t ~\n").graph) is None
 
 

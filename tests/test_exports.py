@@ -127,4 +127,6 @@ def test_the_moved_helpers_are_no_longer_exported():
         "numerically_trivial",
         "pinned_consistent",
     }
-    assert not moved & set(resgraph.__all__)
+    # and the wrappers that pair(weights, degrees, k) no longer takes
+    removed = {"CICurve", "WeightedProjectiveSpace"}
+    assert not (moved | removed) & set(resgraph.__all__)

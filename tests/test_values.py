@@ -1,6 +1,6 @@
 """Value semantics of the package's record and value classes: construction,
 defaults, equality, hashing, immutability, repr and validation. Five are
-``NamedTuple`` records, nine share the slotted ``linalg.Value`` base."""
+``NamedTuple`` records, eight share the slotted ``linalg.Value`` base."""
 
 import os
 import subprocess
@@ -21,12 +21,12 @@ from resgraph.contract import (
 )
 from resgraph.discrepancy import CodiscrepancyResult
 from resgraph.graph import Cycle, DualGraph, ParseResult, Vertex, VertexKind
-from resgraph.wps import CICurve, WeightedProjectiveSpace
+from resgraph.linalg import NEGATIVE_DEFINITE, NEGATIVE_SEMIDEFINITE, Definiteness
+from resgraph.wps import pair
 
 ROOT = Path(__file__).resolve().parent.parent
 EXC = VertexKind.EXCEPTIONAL
 G = DualGraph("g", [Vertex("a", EXC, -2)], [])
-WPS = WeightedProjectiveSpace((1, 1, 2, 3))
 
 # (class, positional arguments, the same as keywords)
 CONSTRUCTIONS = [
@@ -54,8 +54,11 @@ CONSTRUCTIONS = [
         ("x/y", "outcome", "A", "B"),
         {"entry": "x/y", "check": "outcome", "expected": "A", "actual": "B"},
     ),
-    (WeightedProjectiveSpace, ((1, 2, 3),), {"weights": (1, 2, 3)}),
-    (CICurve, (WPS, (2, 3)), {"ambient": WPS, "degrees": (2, 3)}),
+    (
+        Definiteness,
+        (NEGATIVE_SEMIDEFINITE, 1, [[1, 2]]),
+        {"kind": NEGATIVE_SEMIDEFINITE, "corank": 1, "kernel": [[1, 2]]},
+    ),
 ]
 
 # The repr of each class, as the dataclass-generated one wrote it.
@@ -99,10 +102,9 @@ REPRS = [
         CheckRecord("x/y", "outcome", "SmoothPoint", "SmoothPoint"),
         "CheckRecord(entry='x/y', check='outcome', expected='SmoothPoint', actual='SmoothPoint')",
     ),
-    (WeightedProjectiveSpace([1, 2, 3]), "WeightedProjectiveSpace(weights=(1, 2, 3))"),
     (
-        CICurve(WPS, [2, 3]),
-        "CICurve(ambient=WeightedProjectiveSpace(weights=(1, 1, 2, 3)), degrees=(2, 3))",
+        Definiteness(NEGATIVE_SEMIDEFINITE, 1, [[1, 2]]),
+        "Definiteness(kind='NegativeSemidefiniteCorank', corank=1, kernel=[[1, 2]])",
     ),
 ]
 
@@ -116,8 +118,7 @@ FROZEN = [
     (RationalPoint(G), ("residual",)),
     (CurveFiber(Cycle({"a": 1})), ("fiber",)),
     (NotContractible("x"), ("reason",)),
-    (WPS, ("weights",)),
-    (CICurve(WPS, (2, 3)), ("ambient", "degrees")),
+    (Definiteness(NEGATIVE_DEFINITE), ("kind", "corank", "kernel")),
 ]
 
 
@@ -168,7 +169,9 @@ def test_a_differing_field_is_unequal():
     assert Cycle({"a": 1}) != Cycle({"a": 2})
     assert NotContractible("x") != NotContractible("y")
     assert DuValPoint(ADEType("A", 1)) != DuValPoint(ADEType("A", 2))
-    assert WeightedProjectiveSpace((1, 2)) != WeightedProjectiveSpace((2, 1))
+    assert Definiteness(NEGATIVE_SEMIDEFINITE, 1, [[1, 2]]) != Definiteness(
+        NEGATIVE_SEMIDEFINITE, 1, [[2, 1]]
+    )
     assert Vertex("a", EXC, -2) != Vertex("a", EXC, -2, "x")
     assert CheckRecord("e", "c", "A", "A") != CheckRecord("e", "c", "A", "B")
 
@@ -181,7 +184,7 @@ def test_no_equality_across_classes():
         for j, b in enumerate(same):
             assert (a == b) == (i == j)
     assert ADEType("A", 1) != ("A", 1)
-    assert WeightedProjectiveSpace((1, 2, 3)) != (1, 2, 3)
+    assert Definiteness(NEGATIVE_DEFINITE) != NEGATIVE_DEFINITE
     assert Cycle({"a": 1}) != {"a": Fraction(1)}
 
 
@@ -192,8 +195,6 @@ def test_equal_hashable_values_hash_alike():
         (SmoothPoint(), SmoothPoint()),
         (DuValPoint(ADEType("A", 2)), DuValPoint(ade=ADEType("A", 2))),
         (NotContractible("x"), NotContractible(reason="x")),
-        (WeightedProjectiveSpace((1, 2)), WeightedProjectiveSpace([1, 2])),
-        (CICurve(WPS, (2, 3)), CICurve(WPS, [2, 3])),
     ]
     for a, b in pairs:
         assert a == b and hash(a) == hash(b)
@@ -202,7 +203,8 @@ def test_equal_hashable_values_hash_alike():
 
 
 def test_values_holding_a_dict_or_a_graph_are_unhashable():
-    for value in (Cycle({"a": 1}), Cycle(), CurveFiber(Cycle()), RationalPoint(G)):
+    for value in (Cycle({"a": 1}), Cycle(), CurveFiber(Cycle()), RationalPoint(G),
+                  Definiteness(NEGATIVE_DEFINITE)):
         with pytest.raises(TypeError):
             hash(value)
 
@@ -227,12 +229,10 @@ def test_frozen_values_refuse_assignment(value, fields):
         (lambda: ADEType("D", 3), "no type D3"),
         (lambda: ADEType("E", 9), "no type E9"),
         (lambda: ADEType("F", 4), "no type F4"),
-        (lambda: WeightedProjectiveSpace(()), "weights must be positive integers"),
-        (lambda: WeightedProjectiveSpace((1, 0)), "weights must be positive integers"),
-        (lambda: CICurve(WeightedProjectiveSpace((1, 1, 1)), (1, 2)),
-         "a curve needs exactly n-2 hypersurface degrees"),
-        (lambda: CICurve(WeightedProjectiveSpace((1, 1, 1)), (0,)),
-         "degrees must be positive integers"),
+        (lambda: pair((), (), 1), "weights must be positive integers"),
+        (lambda: pair((1, 0), (), 1), "weights must be positive integers"),
+        (lambda: pair((1, 1, 1), (1, 2), 1), "a curve needs exactly n-2 hypersurface degrees"),
+        (lambda: pair((1, 1, 1), (0,), 1), "degrees must be positive integers"),
     ],
 )
 def test_validation_errors(build, message):
@@ -242,8 +242,7 @@ def test_validation_errors(build, message):
 
 
 def test_normalised_fields():
-    assert WeightedProjectiveSpace([1, 2]).weights == (1, 2)
-    assert CICurve(WPS, [2, 3]).degrees == (2, 3)
+    assert Definiteness(NEGATIVE_SEMIDEFINITE, 1, [(1, 2)]).kernel == [[1, 2]]
 
 
 def test_cli_import_needs_no_dataclasses():

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from resgraph.wps import (
-    CICurve,
-    WeightedProjectiveSpace,
+    WpsError,
     cdisc_from_blowup,
     pair,
     subadjunction_genus,
@@ -13,40 +12,39 @@ from resgraph.wps import (
 )
 
 F = Fraction
-P3211 = WeightedProjectiveSpace((3, 2, 1, 1))
+P3211 = (3, 2, 1, 1)
 
 
 def test_pair_core_curve():
-    assert pair(CICurve(P3211, (1, 1)), -4) == F(-2, 3)
+    assert pair(P3211, (1, 1), -4) == F(-2, 3)
 
 
 def test_pair_side_curves():
-    assert pair(CICurve(P3211, (1, 3)), -4) == F(-2)
-    assert pair(CICurve(P3211, (1, 2)), -4) == F(-4, 3)
+    assert pair(P3211, (1, 3), -4) == F(-2)
+    assert pair(P3211, (1, 2), -4) == F(-4, 3)
 
 
 def test_pair_singular_locus_curve():
-    assert pair(CICurve(P3211, (1, 6)), 4) == F(4)
+    assert pair(P3211, (1, 6), 4) == F(4)
 
 
 def test_pair_linearity_and_multiplicativity():
     rng = random.Random(11)
     for _ in range(50):
         weights = tuple(rng.randint(1, 5) for _ in range(rng.randint(3, 5)))
-        space = WeightedProjectiveSpace(weights)
         degrees = tuple(rng.randint(1, 6) for _ in range(len(weights) - 2))
-        curve = CICurve(space, degrees)
         k1, k2 = rng.randint(-5, 5), rng.randint(-5, 5)
-        assert pair(curve, k1 + k2) == pair(curve, k1) + pair(curve, k2)
-        scaled = CICurve(space, (degrees[0] * 3,) + degrees[1:])
-        assert pair(scaled, k1) == 3 * pair(curve, k1)
+        total = pair(weights, degrees, k1 + k2)
+        assert total == pair(weights, degrees, k1) + pair(weights, degrees, k2)
+        scaled = (degrees[0] * 3,) + degrees[1:]
+        assert pair(weights, scaled, k1) == 3 * pair(weights, degrees, k1)
 
 
 def test_curve_needs_n_minus_two_degrees():
     with pytest.raises(ValueError):
-        CICurve(P3211, (1,))
+        pair(P3211, (1,), 1)
     with pytest.raises(ValueError):
-        CICurve(WeightedProjectiveSpace((2, 1, 1)), (1, 1))
+        pair((2, 1, 1), (1, 1), 1)
 
 
 def test_wblowup_discrepancy_values():
@@ -91,3 +89,21 @@ def test_subadjunction_genus_validation():
         subadjunction_genus((1, 1), 2, 0)
     with pytest.raises(ValueError):
         subadjunction_genus((1, 1, 1), 0, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: pair((), (), 1),
+        lambda: pair((1, 1, 1), (1, 2), 1),
+        lambda: pair((1, 1, 1), (0,), 1),
+        lambda: wblowup_discrepancy(2, ()),
+        lambda: wblowup_discrepancy(0, (1, 1)),
+        lambda: cdisc_from_blowup(0, F(1, 2)),
+        lambda: subadjunction_genus((1, 1), 2, 0),
+        lambda: subadjunction_genus((1, 1, 1), 0, 0),
+    ],
+)
+def test_every_bad_input_is_a_wps_error(call):
+    with pytest.raises(WpsError):
+        call()

@@ -636,7 +636,7 @@ def classify_oracle(g: DualGraph, choose=min) -> ContractionOutcome:
     if kind == NEGATIVE_DEFINITE:
         if not rest:
             return SmoothPoint()
-        ade = recognize_duval(residual, rest)
+        ade = recognize_duval(residual)
         return RationalPoint(residual) if ade is None else DuValPoint(ade)
     if len(rest) == 1 and residual.vertex(rest[0]).self_int == 0:
         return CurveFiber(Cycle(dict(zip(order, kernel[0]))))
