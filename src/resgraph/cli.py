@@ -117,7 +117,7 @@ def cmd_codisc(args) -> int:
     for vid in sorted(result.values):
         report.say(f"{vid} = {format_rational(result.values[vid])}")
     report.say(f"all_nonnegative: {str(result.all_nonnegative).lower()}")
-    report.say(f"max_denominator: {result.max_denominator}")
+    report.say(f"max_denominator: {format_rational(result.max_denominator)}")
     report.checks.extend(checker.run_all("codisc"))
     if not report.failed and entry.rejection_stated:
         start = checker.negative_tail_start()

@@ -118,7 +118,7 @@ def _solve_subset(
     if len(b) != len(unknowns) or len(index) != len(b):
         g.intersection_matrix(unknowns)  # raises, naming the bad id or the repeated one
     if rows is not None:
-        matrix, order, record = SymMatrix._of_rows(tuple(rows), True), unknowns, ()
+        matrix, order, record = SymMatrix._of_rows(tuple(rows)), unknowns, ()
     else:
         rhs = dict(zip(unknowns, b))
         weight, nbrs, record = g._blow_down(unknowns)

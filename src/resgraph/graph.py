@@ -218,7 +218,7 @@ class DualGraph:
         )
 
     def __repr__(self) -> str:
-        return f"DualGraph({self.name!r}, {len(self.vertices)} vertices, {len(self._edges)} edges)"
+        return f"DualGraph({self.name!r}, {list(self.vertices)!r}, {self._edges!r})"
 
     # -- intersection theory ---------------------------------------------
 
@@ -349,7 +349,7 @@ def _view_form(weight: dict, nbrs: dict[str, dict[str, int]]) -> tuple[SymMatrix
         if w:
             row[i] = w
         rows.append(row)
-    return SymMatrix._of_rows(tuple(rows), True), order
+    return SymMatrix._of_rows(tuple(rows)), order
 
 
 def _pull_back(record: list, coeffs: dict, rhs: Mapping | None = None) -> dict:

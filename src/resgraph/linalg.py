@@ -1,14 +1,14 @@
-"""Exact rational linear algebra: sparse symmetric matrices, solving,
-definiteness and kernels.
+"""Exact linear algebra on integer forms: sparse symmetric int matrices,
+solving with rational right-hand sides, definiteness and kernels.
 
 Every result is an exact rational: a ``fractions.Fraction`` in lowest terms
 with a positive denominator; nothing in this module ever rounds. Matrices
-are immutable, safe to share, and stored sparsely, integral entries as
-``int``. ``solve``, ``definiteness`` (its kernel too) and ``kernel_basis``
-each answer from one run of a fraction-free elimination kernel on integer
-rows, whose minimum-degree pivot order peels leaves on a forest (which
-resolution graphs almost always are): no fill-in, short integers, time
-linear in the size, with each leaf's one-entry update taken inline.
+hold ints only, are immutable, safe to share, and stored sparsely.
+``solve``, ``definiteness`` (its kernel too) and ``kernel_basis`` each
+answer from one run of a fraction-free elimination kernel on integer rows,
+whose minimum-degree pivot order peels leaves on a forest (which resolution
+graphs almost always are): no fill-in, short integers, time linear in the
+size, with each leaf's one-entry update taken inline.
 
 ``Value``, the base of the package's immutable value classes, lives here
 because this is the module every other one imports.
@@ -20,11 +20,9 @@ import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-_denominator = attrgetter("denominator")
 
 
 def _fraction(numerator: int, denominator: int) -> Fraction:
@@ -114,25 +112,31 @@ def rational(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def format_rational(value: Fraction) -> str:
-    """Render as ``p/q``, or plain ``p`` when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def format_rational(value: Fraction | int) -> str:
+    """Render as ``p/q``, or plain ``p`` when the denominator is 1, in full:
+    a part past CPython's limit on ``str`` of an int (4300 digits by default)
+    is written through ``decimal``, which the limit does not cover."""
+    n, d = value.numerator, value.denominator
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:
+        from decimal import Decimal  # only a number past the limit needs it
+
+        return str(Decimal(n)) if d == 1 else f"{Decimal(n)}/{Decimal(d)}"
 
 
 class SymMatrix:
-    """An immutable symmetric matrix of rationals, stored as one dict of
-    nonzero entries per row; ``from_sparse`` builds one. An integral entry
-    is stored as an ``int`` and any other as a ``Fraction``; indexing,
-    ``row`` and ``repr`` always give Fractions."""
+    """An immutable symmetric matrix of integers, stored as one dict of
+    nonzero ``int`` entries per row; ``from_sparse`` builds one. Indexing,
+    ``row`` and ``repr`` give Fractions, as every answer of this module is
+    one."""
 
-    __slots__ = ("dimension", "_rows", "_integral")
+    __slots__ = ("dimension", "_rows")
 
     @classmethod
-    def from_sparse(cls, rows: Sequence[Mapping[int, Fraction | int]]) -> "SymMatrix":
-        """Build from one ``{column: value}`` mapping per row, in time linear
-        in the number of entries."""
+    def from_sparse(cls, rows: Sequence[Mapping[int, Fraction | int | str]]) -> "SymMatrix":
+        """Build from one ``{column: integer}`` mapping per row, any value
+        ``rational`` reads, in time linear in the number of entries."""
         n = len(rows)
         # One conversion per distinct value: few conversions, and the
         # symmetry check mostly compares an object with itself.
@@ -145,17 +149,19 @@ class SymMatrix:
             for j, x in row.items():
                 if not 0 <= j < n:
                     raise ValueError(f"column {j} out of range in row {i}")
+                if type(x) is not int:
+                    raise ValueError(f"entry ({i},{j}) is {format_rational(x)}, not an integer")
                 if (y := table[j].get(i)) is not x and y != x:
                     raise ValueError(f"matrix is not symmetric at ({i},{j})")
-        return cls._of_rows(table, all(type(q) is int for q in exact.values()))
+        return cls._of_rows(table)
 
     @classmethod
-    def _of_rows(cls, rows: tuple[dict[int, Fraction | int], ...], integral: bool) -> "SymMatrix":
+    def _of_rows(cls, rows: tuple[dict[int, int], ...]) -> "SymMatrix":
         """Wrap rows already in storage form, unchecked and uncopied: the
-        caller guarantees they are symmetric, in range and hold no zero,
-        that integral entries are ints, and whether every entry is one."""
+        caller guarantees they are symmetric, in range and hold only nonzero
+        ints."""
         matrix = cls.__new__(cls)
-        matrix.dimension, matrix._rows, matrix._integral = len(rows), rows, integral
+        matrix.dimension, matrix._rows = len(rows), rows
         return matrix
 
     def __getitem__(self, key) -> Fraction:
@@ -187,17 +193,16 @@ def _eliminate(
     operations on the right-hand side b (zero when not given).
 
     Each row i is held as integers, R_i and its right-hand side B_i: row i
-    of M and b_i times the lcm of their denominators. When M is integral
-    (an intersection form is), that lcm is the denominator of b_i, so a row
-    whose b_i is an integer (every row of a canonical right-hand side, and
-    of a pinned one all but the rows next to a pin) is copied as it is. A
-    step (r, c) uses row r, pivot p = R_r[c], to clear column c from each
-    other row i as R_i := (|p|/g) R_i - sgn(p) (R_i[c]/g) R_r with
-    g = gcd(p, R_i[c]); a row so scaled by more than 1 is then divided, with
-    B_i, by its content gcd (fraction-free elimination, Bareiss 1968, with
-    gcds in place of the exact division). Every R_i stays a positive
-    multiple of the row rational elimination would hold, so the zero
-    pattern, the pivot order and the pivot signs are the same.
+    of M and b_i times the denominator of b_i, so a row whose b_i is an
+    integer (every row of a canonical right-hand side, and of a pinned one
+    all but the rows next to a pin) is copied as it is. A step (r, c) uses
+    row r, pivot p = R_r[c], to clear column c from each other row i as
+    R_i := (|p|/g) R_i - sgn(p) (R_i[c]/g) R_r with g = gcd(p, R_i[c]); a
+    row so scaled by more than 1 is then divided, with B_i, by its content
+    gcd (fraction-free elimination, Bareiss 1968, with gcds in place of the
+    exact division). Every R_i stays a positive multiple of the row
+    rational elimination would hold, so the zero pattern, the pivot order
+    and the pivot signs are the same.
 
     Pivots are nonzero diagonal entries of minimum current row length (ties
     to the smaller index); on a forest that peels leaves, a perfect
@@ -218,18 +223,11 @@ def _eliminate(
     n = M.dimension
     if b is None:
         b = [0] * n
-    if not M._integral:
-        rows, rhs = [], []
-        for row, q in zip(M._rows, b):
-            scale = lcm(q.denominator, *map(_denominator, row.values()))
-            rows.append({j: v.numerator * (scale // v.denominator) for j, v in row.items()})
-            rhs.append(q.numerator * (scale // q.denominator))
-    else:
-        rows = [
-            dict(row) if (d := q.denominator) == 1 else {j: v * d for j, v in row.items()}
-            for row, q in zip(M._rows, b)
-        ]
-        rhs = [q.numerator for q in b]
+    rows = [
+        dict(row) if (d := q.denominator) == 1 else {j: v * d for j, v in row.items()}
+        for row, q in zip(M._rows, b)
+    ]
+    rhs = [q.numerator for q in b]
     active = [True] * n
     steps: list[tuple[int, int]] = []
     heap = [(len(row), i) for i, row in enumerate(rows) if i in row]
@@ -378,7 +376,7 @@ def _back_substitute(
 
 
 def solve(M: SymMatrix, b: Sequence[Fraction | int]) -> list[Fraction]:
-    """Solve M x = b exactly.
+    """Solve M x = b exactly, for a rational right-hand side b.
 
     Raises SingularMatrix when no solution exists and UnderdeterminedSystem,
     with the rank of M, when the solution is not unique; the returned x

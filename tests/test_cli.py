@@ -1,6 +1,9 @@
 import ast
 import json
+import random
+import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,10 @@ import resgraph.contract
 import resgraph.discrepancy
 from resgraph.catalog import data_root, load_catalog
 from resgraph.cli import main
+from resgraph.discrepancy import codiscrepancies
+from resgraph.graph import serialize
 from resgraph.linalg import SingularMatrix
+from util import random_tree_graph
 
 
 def fixture(name: str) -> str:
@@ -322,6 +328,50 @@ def test_pair_command(capsys):
     )
     assert code == 0
     assert "pairing: -2/3" in out
+
+
+def _int(text: str) -> int:
+    """``int(text)`` past CPython's limit on str-to-int conversion, which is
+    restored after."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return int(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_pair_prints_an_answer_past_the_digit_limit(capsys, flags):
+    nines = "9" * 3000
+    code, out, err = run(capsys, "pair", "--weights", "1,1,1", "--degrees", nines, "--k", nines, *flags)
+    assert code == 0 and not err
+    lines = json.loads(out)["output"] if flags else out.splitlines()
+    assert lines == ["pairing: " + "9" * 2999 + "8" + "0" * 2999 + "1"]  # (10^3000 - 1)^2
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_codisc_prints_answers_past_the_digit_limit(tmp_path, capsys, flags):
+    """A tree of 30 curves of self-intersection about -10^200: its
+    codiscrepancies have about 5600-digit denominators, more digits than
+    ``str`` converts, and each prints in full."""
+    g = random_tree_graph(random.Random(10), 30, tuple(-(10**200) - k for k in (1, 2, 3)))
+    path = tmp_path / "big.dg"
+    path.write_text(serialize(g))
+    code, out, err = run(capsys, "codisc", str(path), *flags)
+    assert code == 0 and not err
+    lines = json.loads(out)["output"] if flags else out.splitlines()
+    result = codiscrepancies(g)
+    printed = {}
+    for line in lines[:-2]:
+        vid, text = line.split(" = ")
+        p, _, q = text.partition("/")
+        printed[vid] = Fraction(_int(p), _int(q or "1"))
+    assert printed == result.values
+    assert lines[-2] == f"all_nonnegative: {str(result.all_nonnegative).lower()}"
+    head, digits = lines[-1].split(": ")
+    assert head == "max_denominator" and _int(digits) == result.max_denominator
+    assert len(digits) > sys.get_int_max_str_digits()
 
 
 def test_wdisc_command(capsys):

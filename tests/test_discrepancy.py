@@ -35,6 +35,7 @@ from util import (
     numerically_trivial,
     pinned_consistent,
     point_blowups,
+    random_cyclic_graph,
     random_tree_graph,
     relabel,
 )
@@ -519,6 +520,38 @@ def test_an_integral_graph_is_solved_without_coercing_a_number(monkeypatch):
     assert calls == [] and len(result.values) == 60
     solve(m, [F(1, 2)] * m.dimension)  # the counter is live
     assert calls
+
+
+def test_every_form_the_library_builds_holds_only_ints(monkeypatch):
+    """``intersection_matrix``, ``_view_form`` and the subset solve, direct
+    and after its blow-downs, free and pinned, hand the kernel int rows, on
+    trees, graphs with cycles and blow-ups."""
+    solved = []
+
+    def recording(M, b):
+        solved.append(M)
+        return solve(M, b)
+
+    monkeypatch.setattr(discrepancy, "solve", recording)
+    rng = random.Random("int rows")
+    fiber = DualGraph("fiber", [Vertex("f", VertexKind.EXCEPTIONAL, 0)], {})
+    graphs = [random_tree_graph(rng, n, w) for n in (5, 40) for w in ((-2, -3, -4), (-1, -2, -3))]
+    graphs += [random_cyclic_graph(rng, n) for n in (10, 40)]
+    graphs += [point_blowups(rng, base, 20) for base in (DualGraph("s", [], {}), fiber, ade_graph("D", 5))]
+    forms = []
+    for g in graphs:
+        forms.append(g.intersection_matrix()[0])
+        weight, nbrs, _ = g._blow_down(g.ids())
+        forms.append(graph._view_form(weight, nbrs)[0])
+        leaf = g.ids()[-1]
+        for solve_on in (lambda: codiscrepancies(g), lambda: pinned_codiscrepancies(g, {leaf: F(-1, 3)})):
+            try:
+                solve_on()
+            except DiscrepancyError:
+                pass
+    assert len(solved) == 2 * len(graphs)  # each call reached its solve
+    for M in forms + solved:
+        assert all(type(v) is int for row in M._rows for v in row.values())
 
 
 TREE_CORPUS = Path(__file__).resolve().parent / "data" / "tree_corpus.json"

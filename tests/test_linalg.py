@@ -1,12 +1,13 @@
 import pickle
 import random
+import sys
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, log2
 
 import pytest
 
-from resgraph import linalg
+from resgraph import catalog, linalg
 from resgraph.linalg import (
     INDEFINITE,
     NEGATIVE_DEFINITE,
@@ -21,7 +22,7 @@ from resgraph.linalg import (
     rational,
     solve,
 )
-from resgraph.graph import DualGraph, Vertex, VertexKind
+from resgraph.graph import Cycle, DualGraph, Vertex, VertexKind
 import util
 from util import (
     ade_graph,
@@ -35,6 +36,7 @@ from util import (
     dense_rows,
     dense_solve,
     eliminate_oracle,
+    integral_rows,
     lcm_rows,
     negated,
     pd_by_leading_minors,
@@ -54,6 +56,20 @@ def test_rational_parsing_and_format():
     assert rational(5) == Fraction(5)
     assert format_rational(Fraction(3, 4)) == "3/4"
     assert format_rational(Fraction(-6, 3)) == "-2"
+
+
+def test_a_number_past_the_digit_limit_prints_in_full():
+    """``str`` refuses an int of more than 4300 digits (CPython's default
+    limit); ``format_rational``, and so a cycle and a check record, write it
+    out all the same."""
+    digits = "1" + "0" * 4999 + "1"
+    big = 10**5000 + 1
+    assert len(digits) > sys.get_int_max_str_digits()
+    assert format_rational(Fraction(big)) == format_rational(big) == digits
+    assert format_rational(Fraction(-big, 3)) == f"-{digits}/3"
+    assert format_rational(Fraction(3, big)) == f"3/{digits}"
+    assert Cycle({"b": Fraction(big, 7), "a": 1}).render() == f"a=1, b={digits}/7"
+    assert catalog._render(Fraction(-big)) == f"-{digits}"
 
 
 @pytest.mark.parametrize("text", ["1.5", "1e3", "1e10000000", "1_000", "3/-4", "", "/2", "0x10", "٣"])
@@ -89,6 +105,20 @@ def test_symmetry_is_enforced():
         SymMatrix.from_sparse([{3: 1}])
 
 
+@pytest.mark.parametrize("entry, text", [(Fraction(-3, 2), "-3/2"), ("-6/4", "-3/2"), ("1/3", "1/3")])
+def test_from_sparse_refuses_an_entry_that_is_not_an_integer(entry, text):
+    with pytest.raises(ValueError) as err:
+        SymMatrix.from_sparse([{0: -2, 1: 1}, {0: 1, 1: entry}])
+    assert type(err.value) is ValueError and str(err.value) == f"entry (1,1) is {text}, not an integer"
+
+
+def test_from_sparse_stores_integral_fractions_and_strings_as_ints():
+    m = SymMatrix.from_sparse([{0: Fraction(-2), 1: "1"}, {0: 1, 1: "-2"}, {2: Fraction(-6, 3)}])
+    assert m._rows == ({0: -2, 1: 1}, {0: 1, 1: -2}, {2: -2})
+    assert all(type(v) is int for row in m._rows for v in row.values())
+    assert m == sym_matrix([[-2, 1, 0], [1, -2, 0], [0, 0, -2]])
+
+
 def test_sparse_and_dense_constructors_agree():
     dense = sym_matrix([[-2, 1, 0], [1, -2, 0], [0, 0, 0]])
     sparse = SymMatrix.from_sparse([{0: -2, 1: 1}, {0: 1, 1: -2, 2: 0}, {}])
@@ -118,7 +148,7 @@ def test_solve_reproduces_rhs_exactly():
             for i in range(n):
                 for j in range(i + 1, n):
                     rows[j][i] = rows[i][j]
-            m = sym_matrix(rows)
+            m = sym_matrix(integral_rows(rows))
             b = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)]
             try:
                 x = solve(m, b)
@@ -306,7 +336,7 @@ def test_sparse_kernel_matches_dense_oracle_on_random_matrices():
         for i in range(n):
             if rng.random() < 0.4:
                 rows[i][i] = Fraction(0)
-        coranks.append(_agrees_with_dense(sym_matrix(rows), rng)[1])
+        coranks.append(_agrees_with_dense(sym_matrix(integral_rows(rows)), rng)[1])
     assert sum(1 for k in coranks if k >= 2) >= 20
 
 
@@ -419,8 +449,9 @@ def test_kernel_matches_dense_oracle_on_graphs_with_cycles():
 
 
 def test_kernel_matches_dense_oracle_with_row_scaling_and_block_pivots():
-    """Sparse rational matrices with mostly zero diagonals: rows start with
-    denominators, and elimination runs out of diagonal pivots."""
+    """Sparse matrices with mostly zero diagonals, rational ones scaled to
+    integers, under rational right-hand sides: rows start scaled by a
+    denominator, and elimination runs out of diagonal pivots."""
     rng = random.Random(5150)
     scaled = blocks = 0
     for _ in range(150):
@@ -431,9 +462,11 @@ def test_kernel_matches_dense_oracle_with_row_scaling_and_block_pivots():
                 if rng.random() < (0.15 if i == j else 2.5 / n):
                     q = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2, 3, 4, 6]))
                     rows[i][j] = rows[j][i] = q
-        m = sym_matrix(rows)
+        m = sym_matrix(integral_rows(rows))
         _agrees_with_dense(m, rng)
-        scaled += any(x.denominator > 1 for row in rows for x in row)
+        b = [Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 4, 6])) for _ in range(n)]
+        assert _outcome(solve, m, b) == _outcome(dense_solve, m, b)
+        scaled += any(q.denominator > 1 and m._rows[i] for i, q in enumerate(b))
         _, _, steps, _ = linalg._eliminate(m)
         blocks += sum(r != c for r, c in steps) // 2
     assert scaled >= 100 and blocks >= 100
@@ -468,8 +501,9 @@ def test_a_semidefinite_form_is_eliminated_once_for_its_kernel_too():
 def _kernel_cases(rng: random.Random):
     """(matrix, right-hand side or None) pairs of each shape the kernel
     meets: trees, forests with isolated curves, graphs with cycles, each
-    under a canonical, a pinned and no right-hand side, and sparse rational
-    matrices with mostly zero diagonals."""
+    under a canonical, a pinned and no right-hand side, and sparse matrices
+    with mostly zero diagonals, rational ones scaled to integers, under a
+    rational right-hand side."""
     graphs = []
     for n in (1, 2, 5, 12, 30, 60, 120, 200):
         for weights in ((-2, -3, -4, -5), (-1, -2), (-1, -2, -3)):
@@ -502,7 +536,8 @@ def _kernel_cases(rng: random.Random):
                 if rng.random() < (0.15 if i == j else 2.5 / n):
                     q = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2, 3, 4, 6]))
                     rows[i][j] = rows[j][i] = q
-        yield sym_matrix(rows), [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+        b = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+        yield sym_matrix(integral_rows(rows)), b
 
 
 def test_kernel_and_back_substitution_match_the_step_only_oracle(monkeypatch):
@@ -571,16 +606,16 @@ def test_the_kernel_stops_popping_once_every_row_has_stepped(monkeypatch):
 
 
 def test_entries_are_fractions_whatever_the_storage():
-    m = SymMatrix.from_sparse([{0: -2, 1: 1}, {0: Fraction(1), 1: Fraction(-3, 2)}])
-    assert m._rows == ({0: -2, 1: 1}, {0: 1, 1: Fraction(-3, 2)})
+    m = SymMatrix.from_sparse([{0: -4, 1: 2}, {0: Fraction(2), 1: Fraction(-3)}])
+    assert m._rows == ({0: -4, 1: 2}, {0: 2, 1: -3})
     assert type(m._rows[0][0]) is int and type(m._rows[1][0]) is int
     entries = [m[i, j] for i in range(2) for j in range(2)]
     entries += [x for i in range(2) for x in m.row(i)]
     assert all(type(x) is Fraction for x in entries)
-    assert m.row(0) == (Fraction(-2), Fraction(1)) and m[1, 1] == Fraction(-3, 2)
-    same = SymMatrix.from_sparse([{0: Fraction(-2), 1: 1}, {0: 1, 1: Fraction(-6, 4)}])
+    assert m.row(0) == (Fraction(-4), Fraction(2)) and m[1, 1] == Fraction(-3)
+    same = SymMatrix.from_sparse([{0: Fraction(-4), 1: 2}, {0: 2, 1: Fraction(-12, 4)}])
     assert same == m and hash(same) == hash(m)
-    assert repr(same) == repr(m) == "SymMatrix[-2 1; 1 -3/2]"
+    assert repr(same) == repr(m) == "SymMatrix[-4 2; 2 -3]"
 
 
 def test_the_coprime_fraction_builder_fits_this_interpreter():

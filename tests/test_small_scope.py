@@ -70,17 +70,11 @@ def _error(exc: Exception) -> str:
 
 
 def _outcome(classify_fn, g: DualGraph) -> str:
-    """The outcome's repr, with a residual graph written out; or the error."""
+    """The outcome's repr, which writes a residual graph out; or the error."""
     try:
-        outcome = classify_fn(g)
+        return repr(classify_fn(g))
     except ContractionError as exc:
         return _error(exc)
-    residual = getattr(outcome, "residual", None)
-    if residual is None:
-        return repr(outcome)
-    curves = " ".join(f"{v.id}{v.self_int}" for v in residual.vertices)
-    edges = " ".join(f"{a}{b}:{m}" for (a, b), m in residual.edges().items())
-    return f"{outcome!r} {curves}; {edges}"
 
 
 def _values(values) -> str:

@@ -61,7 +61,12 @@ CONSTRUCTIONS = [
     ),
 ]
 
-# The repr of each class, as the dataclass-generated one wrote it.
+# The repr of each class, as the dataclass-generated one wrote it; a graph's
+# writes its name, vertices and edges, as its constructor takes them.
+G_REPR = (
+    "DualGraph('g', [Vertex(id='a', kind=<VertexKind.EXCEPTIONAL: 'exc'>, self_int=-2, "
+    "label=None)], {})"
+)
 REPRS = [
     (
         Vertex("a", EXC, -2, "x"),
@@ -78,14 +83,28 @@ REPRS = [
     (Cycle(), "Cycle(coefficients={})"),
     (
         ParseResult(G, {"z": Cycle({"a": 2})}, [("rejected", "true", 3)]),
-        "ParseResult(graph=DualGraph('g', 1 vertices, 0 edges), "
+        f"ParseResult(graph={G_REPR}, "
         "cycles={'z': Cycle(coefficients={'a': Fraction(2, 1)})}, "
         "expects=[('rejected', 'true', 3)])",
     ),
     (ADEType("D", 4), "ADEType(family='D', rank=4)"),
     (SmoothPoint(), "SmoothPoint()"),
     (DuValPoint(ADEType("E", 8)), "DuValPoint(ade=ADEType(family='E', rank=8))"),
-    (RationalPoint(G), "RationalPoint(residual=DualGraph('g', 1 vertices, 0 edges))"),
+    (RationalPoint(G), f"RationalPoint(residual={G_REPR})"),
+    # unequal residuals print unequal: a single (-3)-curve, a single (-4)-curve
+    (
+        tuple(RationalPoint(DualGraph("g", [Vertex("a", EXC, w)], [])) for w in (-3, -4)),
+        "(RationalPoint(residual=DualGraph('g', [Vertex(id='a', kind=<VertexKind.EXCEPTIONAL: "
+        "'exc'>, self_int=-3, label=None)], {})), "
+        "RationalPoint(residual=DualGraph('g', [Vertex(id='a', kind=<VertexKind.EXCEPTIONAL: "
+        "'exc'>, self_int=-4, label=None)], {})))",
+    ),
+    (
+        DualGraph("h", [Vertex("a", EXC, -2), Vertex("b", EXC, -3, "x")], {("b", "a"): 2}),
+        "DualGraph('h', [Vertex(id='a', kind=<VertexKind.EXCEPTIONAL: 'exc'>, self_int=-2, "
+        "label=None), Vertex(id='b', kind=<VertexKind.EXCEPTIONAL: 'exc'>, self_int=-3, "
+        "label='x')], {('a', 'b'): 2})",
+    ),
     (CurveFiber(Cycle({"a": 1})), "CurveFiber(fiber=Cycle(coefficients={'a': Fraction(1, 1)}))"),
     (NotContractible("not negative definite"), "NotContractible(reason='not negative definite')"),
     (
@@ -95,7 +114,7 @@ REPRS = [
     ),
     (
         CatalogEntry("x/y", G, {}, []),
-        "CatalogEntry(name='x/y', graph=DualGraph('g', 1 vertices, 0 edges), "
+        f"CatalogEntry(name='x/y', graph={G_REPR}, "
         "cycles={}, expects=[], path=None)",
     ),
     (

@@ -110,6 +110,14 @@ def sym_matrix(rows: list[list]) -> SymMatrix:
     return SymMatrix.from_sparse([dict(enumerate(row)) for row in rows])
 
 
+def integral_rows(rows: list[list]) -> list[list[int]]:
+    """Dense rational rows times the lcm of all their denominators: an
+    integer matrix with the same kernel and definiteness, whose solution for
+    a right-hand side scaled alike is the same."""
+    scale = lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return [[int(x * scale) for x in row] for row in rows]
+
+
 def dense_rows(M: SymMatrix) -> list[list[Fraction]]:
     """A mutable dense copy of the entries."""
     return [list(M.row(i)) for i in range(M.dimension)]
@@ -240,10 +248,10 @@ def dense_subset_solve(g: DualGraph, unknowns: list[str], known: dict, canonical
 
 def lcm_rows(M: SymMatrix, b: Sequence) -> tuple[SymMatrix, list[int]]:
     """The integer rows and right-hand side the elimination kernel starts
-    from, set up the one way it once did for any M and b: row i of M and
-    b_i times the lcm of all their denominators. The rows come wrapped as an
-    integral matrix, unchecked: scaled rows are no longer symmetric, but
-    their zero pattern is, and that is the only symmetry the kernel needs."""
+    from, set up apart from it: row i of M and b_i times the lcm of all
+    their denominators. The rows come wrapped as a matrix, unchecked: scaled
+    rows are no longer symmetric, but their zero pattern is, and that is the
+    only symmetry the kernel needs."""
     rows, rhs = [], []
     for i in range(M.dimension):
         entries = {j: Fraction(v) for j, v in M._rows[i].items()}
@@ -251,7 +259,7 @@ def lcm_rows(M: SymMatrix, b: Sequence) -> tuple[SymMatrix, list[int]]:
         scale = lcm(q.denominator, *(v.denominator for v in entries.values()))
         rows.append({j: int(v * scale) for j, v in entries.items()})
         rhs.append(int(q * scale))
-    return SymMatrix._of_rows(tuple(rows), True), rhs
+    return SymMatrix._of_rows(tuple(rows)), rhs
 
 
 def eliminate_oracle(
