@@ -106,13 +106,7 @@ class CheckRecord(NamedTuple):
         return self.expected == self.actual
 
     def as_dict(self) -> dict:
-        return {
-            "entry": self.entry,
-            "check": self.check,
-            "expected": self.expected,
-            "actual": self.actual,
-            "pass": self.passed,
-        }
+        return {**self._asdict(), "pass": self.passed}
 
 
 # -- value parsers: (value as written, the entry loaded so far) -> value
@@ -233,10 +227,7 @@ def _expectation(entry: CatalogEntry, key: str, text: str, line: int) -> Expecta
 
 
 def data_root() -> Path:
-    # Imported here: only the commands that read the packaged catalog need it.
-    from importlib import resources
-
-    return Path(resources.files("resgraph") / "data" / "catalog")
+    return Path(__file__).parent / "data" / "catalog"
 
 
 def parse_entry(text: str, name: str, path: Path | None = None) -> CatalogEntry:

@@ -132,8 +132,10 @@ def cmd_pullback(args) -> int:
     report = _Report(["pullback", args.file])
     if args.attached not in entry.cycles:
         raise CatalogError(f"no cycle named {args.attached!r} in {args.file}")
-    if args.subset:
+    if args.subset is not None:
         subset = [s for s in args.subset.split(",") if s]
+        if not subset:
+            raise EmptySubset(f"--subset {args.subset!r} names no curve")
         result = mumford_pullback(entry.graph, entry.cycles[args.attached], subset)
     else:
         checker = EntryChecker(entry)

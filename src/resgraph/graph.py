@@ -98,11 +98,9 @@ class DualGraph:
     ):
         _check_token(_NAME_TOKEN, "graph name", name)
         by_id: dict[str, Vertex] = {}
-        id_ok = _ID_TOKEN.fullmatch
         for v in vertices:
             vid = v.id
-            if not (isinstance(vid, str) and id_ok(vid)):
-                raise BadToken(f"vertex id {vid!r} cannot be written in the text format")
+            _check_token(_ID_TOKEN, "vertex id", vid)
             if v.label is not None:
                 _check_token(_NAME_TOKEN, "label", v.label)
             if vid in by_id:
@@ -140,8 +138,8 @@ class DualGraph:
         """Build, unchecked, from parts that pass every check ``__init__``
         makes (the graph counterpart of ``SymMatrix._of_rows``): ``by_id``,
         kept as it is, maps each id in vertex order to its vertex, and
-        ``edges`` maps each ``_edge_key`` of two distinct ids to their total
-        multiplicity. ``parse`` and ``_from_view`` have checked their parts."""
+        ``edges`` maps each pair (a, b) of distinct ids with a < b to their
+        total multiplicity. ``parse`` and ``_from_view`` checked their parts."""
         graph = cls.__new__(cls)
         graph._fill(name, by_id, edges)
         return graph
@@ -192,22 +190,7 @@ class DualGraph:
         pool = set(self._by_id if subset is None else subset)
         if not pool <= self._by_id.keys():
             raise UnknownVertex(f"no vertex {min(pool - self._by_id.keys())!r}")
-        comps: list[set[str]] = []
-        while pool:
-            # the smallest id left opens the next component, so the
-            # components come out sorted by smallest member
-            start = min(pool)
-            pool.remove(start)
-            comp = {start}
-            frontier = [start]
-            while frontier:
-                for other in self._adjacency[frontier.pop()]:
-                    if other in pool:
-                        pool.remove(other)
-                        comp.add(other)
-                        frontier.append(other)
-            comps.append(comp)
-        return comps
+        return _walk(self._adjacency, pool)
 
     def __eq__(self, other) -> bool:
         return (
@@ -308,6 +291,25 @@ class DualGraph:
         return DualGraph._of_parts(self.name, by_id, edges)
 
 
+def _walk(adjacency: Mapping[str, Iterable[str]], pool: set[str]) -> list[set[str]]:
+    """The connected parts of ``pool``, ids that all key ``adjacency``, by
+    the edges of ``adjacency``; the walk empties ``pool``. The smallest id
+    left opens the next part, so parts come out sorted by smallest member."""
+    parts = []
+    while pool:
+        start = min(pool)
+        pool.remove(start)
+        part, frontier = {start}, [start]
+        while frontier:
+            for other in adjacency[frontier.pop()]:
+                if other in pool:
+                    pool.remove(other)
+                    part.add(other)
+                    frontier.append(other)
+        parts.append(part)
+    return parts
+
+
 def _view_parts(weight: dict, nbrs: dict, record: list, complete: bool = False) -> int:
     """How many connected components the curves of a blown-down view came in
     (with ``complete``, its complete curves, by the edges among them). A step
@@ -321,14 +323,7 @@ def _view_parts(weight: dict, nbrs: dict, record: list, complete: bool = False) 
                 break
         else:
             parts += 1
-    pool = set(weight).difference(skip)
-    while pool:
-        parts += 1
-        frontier = {pool.pop()}
-        while frontier:
-            frontier = {b for a in frontier for b in nbrs[a] if b in pool}
-            pool -= frontier
-    return parts
+    return parts + len(_walk(nbrs, set(weight).difference(skip)))
 
 
 def _view_form(weight: dict, nbrs: dict[str, dict[str, int]]) -> tuple[SymMatrix, list[str]]:

@@ -80,7 +80,7 @@ class Value:
 
     def __repr__(self) -> str:
         body = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_"
+            f"{name}={_repr(getattr(self, name))}" for name in self.__slots__ if name[0] != "_"
         )
         return f"{type(self).__qualname__}({body})"
 
@@ -123,6 +123,24 @@ def format_rational(value: Fraction | int) -> str:
         from decimal import Decimal  # only a number past the limit needs it
 
         return str(Decimal(n)) if d == 1 else f"{Decimal(n)}/{Decimal(d)}"
+
+
+def _repr(value) -> str:
+    """``repr`` of a field's value, in full: past CPython's limit on ``str``
+    of an int, where ``repr`` raises, a list or dict is taken apart and each
+    int or Fraction in it is written as ``format_rational`` writes it."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return format_rational(value)
+        if isinstance(value, Fraction):
+            return f"Fraction({_repr(value.numerator)}, {_repr(value.denominator)})"
+        if isinstance(value, list):
+            return "[" + ", ".join(map(_repr, value)) + "]"
+        if isinstance(value, dict):
+            return "{" + ", ".join(f"{_repr(k)}: {_repr(v)}" for k, v in value.items()) + "}"
+        raise
 
 
 class SymMatrix:

@@ -200,6 +200,15 @@ def test_pullback_with_subset(capsys):
     assert "t=1/2" in out
 
 
+@pytest.mark.parametrize("subset", ["", ",", ",,"])
+def test_pullback_with_a_subset_that_names_no_curve_exits_2(capsys, subset):
+    code, out, err = run(
+        capsys, "pullback", fixture("pullbacks/e6-section"), "--attached", "src", "--subset", subset
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --subset {subset!r} names no curve\n"
+
+
 def test_pullback_unknown_cycle_exits_2(capsys):
     code, _, err = run(
         capsys, "pullback", fixture("pullbacks/e6-section"), "--attached", "nope"

@@ -554,6 +554,57 @@ def test_every_form_the_library_builds_holds_only_ints(monkeypatch):
         assert all(type(v) is int for row in M._rows for v in row.values())
 
 
+def counting(monkeypatch, cls, name: str) -> list:
+    """Record the arguments of each call of ``cls.name``, which still runs."""
+    calls = []
+    method = getattr(cls, name)
+
+    def wrapper(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return calls
+
+
+def subset_solves(g: DualGraph) -> None:
+    """The free, pinned and pull-back solves on g, each on a valid subset."""
+    first, *rest = g.exceptional_ids()
+    codiscrepancies(g)
+    pinned_codiscrepancies(g, {first: F(1, 2)})
+    mumford_pullback(g, Cycle({first: 1}), rest)
+
+
+def test_a_subset_with_no_minus_one_curve_is_solved_as_it_stands(monkeypatch):
+    """The subset solve blows down only when a (-1)-curve is among the
+    unknowns: on an ADE graph none of the three solves runs ``_blow_down``,
+    and on a blow-up of one each of them runs it once."""
+    calls = counting(monkeypatch, DualGraph, "_blow_down")
+    rng = random.Random("as it stands")
+    for base in (ade_graph("A", 6), ade_graph("D", 9), ade_graph("E", 8)):
+        subset_solves(base)
+        assert calls == [], base.name
+        subset_solves(point_blowups(rng, base, 4))
+        assert len(calls) == 3, base.name
+        calls.clear()
+
+
+def test_a_valid_subset_is_checked_in_the_one_pass(monkeypatch):
+    """The pass that builds the rows checks every id of a valid subset;
+    ``intersection_matrix`` runs only to name a bad or repeated id."""
+    calls = counting(monkeypatch, DualGraph, "intersection_matrix")
+    rng = random.Random("one pass")
+    for base in (ade_graph("A", 6), ade_graph("D", 9), ade_graph("E", 8)):
+        for g in (base, point_blowups(rng, base, 4)):
+            subset_solves(g)
+            assert calls == [], g.name
+    g = ade_graph("A", 3)
+    for subset in (["v1", "nope"], ["v1", "v2", "v1"]):
+        with pytest.raises(graph.GraphError):
+            pinned_codiscrepancies(g, {}, subset)
+    assert calls == [(["v1", "nope"],), (["v1", "v2", "v1"],)]
+
+
 TREE_CORPUS = Path(__file__).resolve().parent / "data" / "tree_corpus.json"
 
 

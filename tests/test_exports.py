@@ -2,7 +2,10 @@
 every name in ``resgraph.__all__`` is used by library code other than its
 own definition, every defaulted parameter of an exported function is passed
 by some call in the library, and every public method or property of an
-exported class is read as an attribute by library code."""
+exported class is read as an attribute by library code. Nor does it keep a
+dead private helper: every private module-level function, class and
+constant, and every private method, is named by library code outside its
+own definition."""
 
 import ast
 from pathlib import Path
@@ -130,3 +133,52 @@ def test_the_moved_helpers_are_no_longer_exported():
     # and the wrappers that pair(weights, degrees, k) no longer takes
     removed = {"CICurve", "WeightedProjectiveSpace"}
     assert not (moved | removed) & set(resgraph.__all__)
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_definitions(module: ast.Module) -> list[tuple[str, tuple]]:
+    """(name, the definitions around a use that does not count, None for a
+    constant) of each private module-level function, class and constant of
+    the module, and of each private method of its classes; a dunder name is
+    the language's."""
+    found = []
+    for top in module.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            found.append((top.name, (top.name,)))
+        if isinstance(top, ast.ClassDef):
+            found += [(member.name, (top.name, member.name)) for member in top.body
+                      if isinstance(member, ast.FunctionDef)]
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            found += [(node.id, None) for target in targets
+                      for node in ast.walk(target) if isinstance(node, ast.Name)]
+    return [(name, own) for name, own in found if _private(name)]
+
+
+def unused_private_names() -> list[str]:
+    """Each private definition of ``src/resgraph/*.py`` that no library code
+    names, as a read of the name or of an attribute, outside the definition."""
+    paths = sorted(Path(resgraph.__file__).parent.glob("*.py"))
+    modules = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    uses = [
+        (node.id if isinstance(node, ast.Name) else node.attr, owners)
+        for module in modules
+        for node, owners in _walk(module)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    ]
+    return sorted(
+        f"{path.stem}.{name}"
+        for path, module in zip(paths, modules)
+        for name, own in private_definitions(module)
+        if not any(used == name and (own is None or owners[:len(own)] != own)
+                   for used, owners in uses)
+    )
+
+
+def test_every_private_helper_is_named_by_the_library():
+    # a floor, so that a rule that finds no helper cannot pass: there are about 40
+    assert sum(len(private_definitions(module)) for module in library_modules()) > 30
+    assert unused_private_names() == []

@@ -586,6 +586,35 @@ def test_trees_peel_leaves_with_no_fill_in():
         assert all(r == c and len(rows[r]) <= 2 for r, c in steps)
 
 
+def general_steps(m: SymMatrix) -> int:
+    """The calls of the general update ``step`` in ``_eliminate(m)``."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "step" and frame.f_back.f_code is code:
+            calls += 1
+
+    code = linalg._eliminate.__code__
+    sys.setprofile(profile)
+    try:
+        linalg._eliminate(m)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_pivot_row_of_two_entries_is_a_leaf_step_taken_inline():
+    """A pivot row of at most two entries is updated inline: on a tree,
+    where every pivot row is a leaf's, the general ``step`` never runs; on a
+    graph with cycles, whose first pivot rows are longer, it does."""
+    rng = random.Random(4000)
+    for n in (2, 50, 400):
+        m, _ = random_tree_graph(rng, n).intersection_matrix()
+        assert general_steps(m) == 0, n
+    assert general_steps(random_cyclic_graph(rng, 50).intersection_matrix()[0]) > 0
+
+
 def test_the_kernel_stops_popping_once_every_row_has_stepped(monkeypatch):
     """A leaf step pushes its neighbour's new length, and the neighbour's
     older entries come up stale after it has stepped. Once every row has

@@ -176,6 +176,33 @@ def test_repr(value, text):
     assert repr(value) == text
 
 
+BIG = 10**5000 + 1
+DIGITS = "1" + "0" * 4999 + "1"
+BIG_REPRS = [
+    (
+        Cycle({"b": 1, "a": Fraction(BIG, 3)}),
+        f"Cycle(coefficients={{'a': Fraction({DIGITS}, 3), 'b': Fraction(1, 1)}})",
+    ),
+    (
+        CurveFiber(Cycle({"a": Fraction(-3, BIG)})),
+        f"CurveFiber(fiber=Cycle(coefficients={{'a': Fraction(-3, {DIGITS})}}))",
+    ),
+    (
+        Definiteness(NEGATIVE_SEMIDEFINITE, 1, [[1, -BIG]]),
+        f"Definiteness(kind='{NEGATIVE_SEMIDEFINITE}', corank=1, kernel=[[1, -{DIGITS}]])",
+    ),
+]
+
+
+@pytest.mark.parametrize("value, text", BIG_REPRS, ids=[type(v).__name__ for v, _ in BIG_REPRS])
+def test_a_value_past_the_digit_limit_prints_its_repr_in_full(value, text):
+    """``str`` refuses an int of more than 4300 digits (CPython's default
+    limit), so ``Fraction.__repr__`` does too; a value's repr writes such a
+    number out all the same, as ``render`` does."""
+    assert len(DIGITS) > sys.get_int_max_str_digits()
+    assert repr(value) == text
+
+
 @pytest.mark.parametrize("cls, args, kwargs", CONSTRUCTIONS, ids=[c[0].__name__ for c in CONSTRUCTIONS])
 def test_equal_values_are_equal(cls, args, kwargs):
     a, b = cls(*args), cls(*args)
