@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import fnmatch
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -277,24 +276,35 @@ class EntryChecker:
     """The one owner of each result computed for an entry: its
     classification, intersection form, codiscrepancy solve, implied tail
     start, and the pullback and pairings of each named cycle, each computed
-    at most once. The CLI commands print these results, and the entry's
-    expectations are checked against them."""
+    (or the library error it raised) at most once. The CLI commands print
+    these results, and the entry's expectations are checked against them."""
 
     def __init__(self, entry: CatalogEntry):
         self.entry = entry
         self.g = entry.graph
-        self._pullbacks: dict[str, Cycle] = {}
-        self._pairings: dict[str, list[tuple[str, Fraction]]] = {}
+        self._memo: dict[object, tuple[object, Exception | None]] = {}
 
-    @cached_property
+    def _once(self, key, compute: Callable[..., object], *args):
+        """Run ``compute(*args)`` once per key; keep its result or library error, not a defect."""
+        if key not in self._memo:
+            try:
+                self._memo[key] = compute(*args), None
+            except LIBRARY_ERRORS as exc:
+                self._memo[key] = None, exc
+        result, error = self._memo[key]
+        if error is not None:
+            raise error
+        return result
+
+    @property
     def codisc(self) -> CodiscrepancyResult:
-        return codiscrepancies(self.g)
+        return self._once("codisc", codiscrepancies, self.g)
 
-    @cached_property
+    @property
     def outcome(self) -> ContractionOutcome | ContractionError:
         """What ``classify`` returns, or the ContractionError it raises."""
         try:
-            return classify(self.g)
+            return self._once("outcome", classify, self.g)
         except ContractionError as exc:
             return exc
 
@@ -305,18 +315,15 @@ class EntryChecker:
 
     def pullback(self, name: str) -> Cycle:
         """The numerical pullback of the named cycle onto every complete curve."""
-        if name not in self._pullbacks:
-            self._pullbacks[name] = mumford_pullback(self.g, self.entry.cycles[name])
-        return self._pullbacks[name]
+        return self._once(("pullback", name), mumford_pullback, self.g, self.entry.cycles[name])
 
     def pairings(self, name: str) -> list[tuple[str, Fraction]]:
         """The nonzero pairings (curve, number) of the named cycle with the
         complete curves, in vertex order; none when it is numerically trivial."""
-        if name not in self._pairings:
-            z = self.entry.cycles[name]
-            dots = ((vid, cycle_dot(self.g, z, vid)) for vid in self.g.complete_ids())
-            self._pairings[name] = [(vid, value) for vid, value in dots if value]
-        return self._pairings[name]
+        z = self.entry.cycles[name]
+        return self._once(("pairings", name), lambda: [
+            (vid, value) for vid in self.g.complete_ids() if (value := cycle_dot(self.g, z, vid))
+        ])
 
     def pins(self) -> dict[str, Fraction]:
         """The ``pinned`` cycle as written, a curve written with 0 included."""
@@ -325,27 +332,21 @@ class EntryChecker:
             raise CatalogError(f"{self.entry.name}: no pinned cycle")
         return {vid: pinned.coeff(vid) for vid in pinned._named}
 
-    @cached_property
-    def _start(self) -> Fraction | DiscrepancyError | CatalogError:
-        """What ``implied_start`` returns, or the error it raises."""
-        try:
+    def implied_start(self) -> Fraction:
+        def compute() -> Fraction:
             roots = self.g.labeled(ROLE_TAIL_ROOT)
             if len(roots) != 1:
                 raise CatalogError(f"{self.entry.name}: needs exactly one tail-root label")
             return implied_tail_start(self.g, roots[0], self.pins())
-        except (DiscrepancyError, CatalogError) as exc:
-            return exc
-
-    def implied_start(self) -> Fraction:
-        if isinstance(self._start, Exception):
-            raise self._start
-        return self._start
+        return self._once("implied_start", compute)
 
     def negative_tail_start(self) -> Fraction | None:
         """The implied tail start if it is negative (no effective
         codiscrepancy divisor exists), else None, also when it is undefined."""
-        start = self._start
-        return start if isinstance(start, Fraction) and start < 0 else None
+        try:
+            return start if (start := self.implied_start()) < 0 else None
+        except (DiscrepancyError, CatalogError):
+            return None
 
     def run_all(self, command: str | None = None, cycle: str | None = None) -> list[CheckRecord]:
         """Run the entry's expectations in fixture order: all of them, or

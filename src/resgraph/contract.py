@@ -156,22 +156,15 @@ def recognize_duval(g: DualGraph) -> ADEType | None:
     are E_6, E_7, E_8. Returns None otherwise (total, never raises).
     """
     ids = g.complete_ids()
-    idset = set(ids)
-    if any(g.vertex(vid).self_int != -2 for vid in ids):
+    by_id, degree = g._by_id, {}
+    for vid in ids:  # each curve's weight and its edges to complete curves
+        mults = [m for w, m in g._adjacency[vid].items() if by_id[w].self_int is not None]
+        if by_id[vid].self_int != -2 or any(m != 1 for m in mults):
+            return None
+        degree[vid] = len(mults)
+    # connected, with one edge fewer than curves: a tree, as no cycle of curves is ADE
+    if sum(degree.values()) != 2 * len(ids) - 2 or len(g.components(ids)) != 1:
         return None
-    if len(g.components(ids)) != 1:
-        return None
-    edge_count = 0
-    degree = {vid: 0 for vid in ids}
-    for (a, b), mult in g.edges().items():
-        if a in idset and b in idset:
-            if mult != 1:
-                return None
-            edge_count += 1
-            degree[a] += 1
-            degree[b] += 1
-    if edge_count != len(ids) - 1:
-        return None  # a cycle of curves is not a rational double point
     forks = [vid for vid in ids if degree[vid] >= 3]
     if not forks:
         return ADEType("A", len(ids))
@@ -179,7 +172,7 @@ def recognize_duval(g: DualGraph) -> ADEType | None:
         return None
     fork = forks[0]
     # a tree less its one fork of degree three: three chains, the fork's arms
-    arms = sorted(len(arm) for arm in g.components(idset - {fork}))
+    arms = sorted(len(arm) for arm in g.components(set(ids) - {fork}))
     if arms[:2] == [1, 1]:
         return ADEType("D", len(ids))
     if arms[:2] == [1, 2] and arms[2] <= 4:

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .graph import Cycle, DualGraph, _pull_back, _view_form, _view_parts
 from .linalg import (
     LinAlgError,
     SymMatrix,
     UnderdeterminedSystem,
+    Value,
     _fraction,
     definiteness,
     rational,
@@ -53,12 +54,15 @@ class UnsupportedTail(DiscrepancyError):
     pass
 
 
-class CodiscrepancyResult(NamedTuple):
+class CodiscrepancyResult(Value):
     """Solved codiscrepancies plus the two flags every filter needs."""
 
-    values: dict[str, Fraction]
-    all_nonnegative: bool
-    max_denominator: int
+    __slots__ = ("values", "all_nonnegative", "max_denominator")
+
+    def __init__(self, values: dict[str, Fraction], all_nonnegative: bool, max_denominator: int):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "all_nonnegative", all_nonnegative)
+        object.__setattr__(self, "max_denominator", max_denominator)
 
     @classmethod
     def from_values(cls, values: Mapping[str, Fraction]) -> "CodiscrepancyResult":
@@ -253,7 +257,9 @@ def fundamental_cycle(
     least such cycle, so no order matters. The contracted point is a
     rational singularity exactly when p_a(Z) = 0.
     """
-    ids = sorted(set(g.exceptional_ids() if subset is None else subset))
+    ids = sorted(g.exceptional_ids() if subset is None else subset)
+    if len(set(ids)) != len(ids):
+        g.intersection_matrix(subset)  # raises, naming the bad id or the repeated one
     if not ids:
         raise EmptySubset("empty subset")
     weight, nbrs, record = g._blow_down(ids)  # raises on the smallest unknown id

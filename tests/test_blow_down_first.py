@@ -367,6 +367,8 @@ def test_a_bad_subset_raises_what_intersection_matrix_raises():
         assert result_or_error(pinned_codiscrepancies, g, {}, subset) == want
         assert result_or_error(pinned_codiscrepancies, g, {"d": Fraction(1, 2)}, subset) == want
         assert result_or_error(mumford_pullback, g, Cycle({"d": 1}), subset) == want
+        if len(set(subset)) < len(subset):
+            assert result_or_error(fundamental_cycle, g, subset) == want
 
 # -- the record, replayed ---------------------------------------------------
 

@@ -18,6 +18,7 @@ from resgraph.catalog import (
     verify_catalog,
     verify_entry,
 )
+from resgraph.discrepancy import SingularConfiguration
 from util import special_vertices
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -136,6 +137,64 @@ def test_a_classification_error_is_the_actual_value_of_each_check_that_reads_it(
         ("outcome", "SmoothPoint", message),
         ("fiber_cycle", "t=1", message),
     ]
+
+
+# two (-1)-curves a-b meeting each other once form a singular system, with a
+# transversal germ s on b; three checks read the solve, two the pullback
+SINGULAR = (
+    "graph g\nv a -1\nv b -1\nv s ~\ne a b\ne b s\ncycle s: s=1\n"
+    "expect codisc a = 0\nexpect codisc b = 0\nexpect codisc_nonneg = true\n"
+    "expect pullback s = s\nexpect pullback s = s\n"
+)
+
+
+def test_a_failing_solve_runs_once_per_entry(tmp_path, monkeypatch):
+    (tmp_path / "probe").mkdir()
+    for name in ("one", "two"):
+        (tmp_path / "probe" / f"{name}.dg").write_text(SINGULAR, encoding="utf-8")
+    calls = []
+    for solver in ("codiscrepancies", "mumford_pullback"):
+        def counted(*args, _solver=solver, _fn=getattr(resgraph.catalog, solver)):
+            calls.append(_solver)
+            return _fn(*args)
+
+        monkeypatch.setattr(resgraph.catalog, solver, counted)
+    records = verify_catalog(load_catalog(tmp_path))
+    assert sorted(calls) == ["codiscrepancies"] * 2 + ["mumford_pullback"] * 2
+    error = "error: no solution: b is outside the column space"
+    checks = [("codisc a", "0"), ("codisc b", "0"), ("codisc_nonneg", "true"),
+              ("pullback s", "s"), ("pullback s", "s")]
+    assert [(r.entry, r.check, r.expected, r.actual) for r in records] == [
+        (f"probe/{name}", check, expected, error) for name in ("one", "two")
+        for check, expected in checks
+    ]
+
+
+def test_the_memo_raises_a_kept_library_error_again_and_keeps_no_defect():
+    checker = _checker(TAIL)
+    calls = []
+
+    def singular():
+        calls.append("singular")
+        raise SingularConfiguration("no solution: b is outside the column space")
+
+    def defect():
+        calls.append("defect")
+        raise RuntimeError("defect")
+
+    def result(value):
+        calls.append("result")
+        return value
+
+    kept = object()
+    for _ in range(2):
+        with pytest.raises(SingularConfiguration) as info:
+            checker._once("singular", singular)
+        assert str(info.value) == "no solution: b is outside the column space"
+        with pytest.raises(RuntimeError, match="^defect$"):
+            checker._once("defect", defect)
+        assert checker._once("result", result, kept) is kept
+    assert calls == ["singular", "defect", "result", "defect"]
 
 
 def test_a_codisc_vertex_that_the_solve_does_not_give_is_a_load_error():

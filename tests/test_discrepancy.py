@@ -8,6 +8,7 @@ import pytest
 from resgraph import discrepancy, graph, linalg
 from resgraph.catalog import load_catalog
 from resgraph.discrepancy import (
+    CodiscrepancyResult,
     DiscrepancyError,
     NotNegativeDefinite,
     SingularConfiguration,
@@ -599,6 +600,8 @@ def test_a_valid_subset_is_checked_in_the_one_pass(monkeypatch):
             subset_solves(g)
             assert calls == [], g.name
     g = ade_graph("A", 3)
+    # an empty subset is valid: its unique solution is empty
+    assert pinned_codiscrepancies(g, {}, []) == CodiscrepancyResult({}, True, 1)
     for subset in (["v1", "nope"], ["v1", "v2", "v1"]):
         with pytest.raises(graph.GraphError):
             pinned_codiscrepancies(g, {}, subset)

@@ -1,6 +1,6 @@
 """Value semantics of the package's record and value classes: construction,
-defaults, equality, hashing, immutability, repr and validation. Five are
-``NamedTuple`` records, eight share the slotted ``linalg.Value`` base."""
+defaults, equality, hashing, immutability, repr and validation. Four are
+``NamedTuple`` records, nine share the slotted ``linalg.Value`` base."""
 
 import os
 import subprocess
@@ -138,6 +138,7 @@ FROZEN = [
     (CurveFiber(Cycle({"a": 1})), ("fiber",)),
     (NotContractible("x"), ("reason",)),
     (Definiteness(NEGATIVE_DEFINITE), ("kind", "corank", "kernel")),
+    (CodiscrepancyResult({}, True, 1), ("values", "all_nonnegative", "max_denominator")),
 ]
 
 
@@ -190,6 +191,11 @@ BIG_REPRS = [
     (
         Definiteness(NEGATIVE_SEMIDEFINITE, 1, [[1, -BIG]]),
         f"Definiteness(kind='{NEGATIVE_SEMIDEFINITE}', corank=1, kernel=[[1, -{DIGITS}]])",
+    ),
+    (
+        CodiscrepancyResult.from_values({"a": Fraction(BIG, 3)}),
+        f"CodiscrepancyResult(values={{'a': Fraction({DIGITS}, 3)}}, "
+        "all_nonnegative=True, max_denominator=3)",
     ),
 ]
 
@@ -250,7 +256,7 @@ def test_equal_hashable_values_hash_alike():
 
 def test_values_holding_a_dict_or_a_graph_are_unhashable():
     for value in (Cycle({"a": 1}), Cycle(), CurveFiber(Cycle()), RationalPoint(G),
-                  Definiteness(NEGATIVE_DEFINITE)):
+                  Definiteness(NEGATIVE_DEFINITE), CodiscrepancyResult({}, True, 1)):
         with pytest.raises(TypeError):
             hash(value)
 
